@@ -27,7 +27,6 @@ from .sovereign import (
 )
 from .agents import (
     AgentKind,
-    AgentMode,
     Hyperparams,
     QTable,
     dump_qtable,
@@ -43,8 +42,6 @@ from .experiment import (
     RunConfig,
     TrialSummary,
     Variant,
-    action_breakdown,
-    bin_metrics,
     run_game,
     run_trials,
 )
@@ -55,10 +52,6 @@ from .matrix import (
     PolicyClass,
     Thresholds,
     classify_policy,
-    fear_greed,
-    long_term_payoff,
-    payoff_matrix,
-    social_metric,
 )
 
 __version__ = "0.1.0"
@@ -66,7 +59,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Action",
     "AgentKind",
-    "AgentMode",
     "AnalysisConfig",
     "DilemmaClass",
     "GameState",
@@ -82,30 +74,24 @@ __all__ = [
     "TrialSummary",
     "Variant",
     "VotePhase",
-    "action_breakdown",
-    "bin_metrics",
     "classify_policy",
     "count_states",
     "dump_qtable",
     "encode_state",
     "epsilon_at",
-    "fear_greed",
     "sovereign_legal_actions",
     "sovereign_transition",
     "initial_state",
     "legal_actions",
     "load_qtable",
-    "long_term_payoff",
     "move_dest",
     "ola_broadcast",
     "ola_state",
-    "payoff_matrix",
     "q_update",
     "reward",
     "run_game",
     "run_trials",
     "select_action",
-    "social_metric",
     "sovereign_reward",
     "transition",
     "vote_count",

@@ -39,24 +39,6 @@ class AgentKind(Enum):
     RANDOM = "random"
 
 
-@dataclass(frozen=True)
-class AgentMode:
-    """Per-seat learning switches derived from the agent kind."""
-
-    kind: AgentKind
-    ola: bool
-    sovereign_update: bool
-
-    @classmethod
-    def for_kind(cls, kind: AgentKind) -> "AgentMode":
-        hq = kind is AgentKind.HQLEARNER
-        return cls(kind=kind, ola=hq, sovereign_update=hq)
-
-    @property
-    def learns(self) -> bool:
-        return self.kind is not AgentKind.RANDOM
-
-
 def epsilon_at(t: int, hp: Hyperparams) -> float:
     """Annealed exploration probability eps0 * decay^t, no floor."""
     return hp.eps0 * hp.eps_decay**t
@@ -65,17 +47,13 @@ def epsilon_at(t: int, hp: Hyperparams) -> float:
 class QTable:
     """Map from encoded state to one value per action, lazily initialized.
 
-    Fresh rows start at zero (optionally at uniform noise in
-    +-init_spread, drawn from the agent's own stream), so entries that
-    were never reinforced stay exact ties and the uniform tie-breaking in
-    select_action keeps unlearned choices stochastic. `write_log`, when
-    set to a list, records (key, action, old, new) for every learning
-    write.
+    Fresh rows start at zero, so entries that were never reinforced stay
+    exact ties and the uniform tie-breaking in select_action keeps
+    unlearned choices stochastic. `write_log`, when set to a list, records
+    (key, action, old, new, delta) for every learning write.
     """
 
-    def __init__(self, rng: random.Random, init_spread: float = 0.0):
-        self.rng = rng
-        self.init_spread = init_spread
+    def __init__(self) -> None:
         self.rows: dict[bytes, list[float]] = {}
         self.writes = 0
         self.write_log: list | None = None
@@ -83,13 +61,7 @@ class QTable:
     def row(self, key: bytes) -> list[float]:
         row = self.rows.get(key)
         if row is None:
-            if self.init_spread:
-                u = self.rng.uniform
-                s = self.init_spread
-                row = [u(-s, s) for _ in range(NUM_ACTIONS)]
-            else:
-                row = [0.0] * NUM_ACTIONS
-            self.rows[key] = row
+            row = self.rows[key] = [0.0] * NUM_ACTIONS
         return row
 
     def value(self, key: bytes, action: Action) -> float:
@@ -113,9 +85,8 @@ class QTable:
             self.write_log.append((key, action, old, new, delta))
 
     def copy(self) -> "QTable":
-        """Independent copy sharing nothing mutable (rng state included)."""
-        dup = QTable(random.Random(), init_spread=self.init_spread)
-        dup.rng.setstate(self.rng.getstate())
+        """Independent copy of the rows, sharing nothing mutable."""
+        dup = QTable()
         dup.rows = {k: row[:] for k, row in self.rows.items()}
         return dup
 
@@ -208,10 +179,10 @@ def dump_qtable(q: QTable, fp: IO[str] | None = None) -> str:
     return text
 
 
-def load_qtable(lines: Iterable[str] | IO[str], rng: random.Random) -> QTable:
-    """Parse dump_qtable output; `rng` serves future lazy initialization."""
+def load_qtable(lines: Iterable[str] | IO[str]) -> QTable:
+    """Parse dump_qtable output."""
     by_name = {a.name.lower(): a for a in Action}
-    q = QTable(rng)
+    q = QTable()
     for line in lines:
         line = line.rstrip("\n")
         if not line:

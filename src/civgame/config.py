@@ -12,7 +12,7 @@ from typing import Any, Callable
 
 from .agents import AgentKind, Hyperparams
 from .experiment import RunConfig, Variant
-from .game import RewardConfig
+from .game import MAX_PLAYERS, RewardConfig
 from .matrix import AnalysisConfig, Thresholds
 
 
@@ -42,38 +42,41 @@ def _parse_agent(text: str) -> AgentKind:
         raise ValueError(f"agent kind must be one of {names}, got {text!r}")
 
 
-# key -> (parser, default)
+_RUN = RunConfig()
+_ANALYSIS = AnalysisConfig()
+
+# key -> (parser, default); the defaults are the dataclasses' own
 SCHEMA: dict[str, tuple[Callable[[str], Any], Any]] = {
-    "board_size": (int, 4),
-    "players": (int, 4),
-    "total_steps": (int, 250_000),
-    "bin": (int, 2_500),
-    "trials": (int, 3),
-    "seed": (int, 1),
-    "variant": (_parse_variant, Variant.SOVEREIGN),
-    "agent0": (_parse_agent, AgentKind.HQLEARNER),
-    "agent1": (_parse_agent, AgentKind.HQLEARNER),
-    "agent2": (_parse_agent, AgentKind.HQLEARNER),
-    "agent3": (_parse_agent, AgentKind.HQLEARNER),
-    "invasion_bonus": (int, 10),
-    "invasion_penalty": (int, -25),
-    "vote_bonus": (int, 15),
-    "vote_penalty": (int, -10),
-    "alpha": (float, 0.5),
-    "gamma": (float, 0.99),
-    "eps0": (float, 0.9),
-    "eps_decay": (float, 0.9999),
-    "alpha_c": (float, 5.0),
-    "alpha_d": (float, 15.0),
-    "workers": (int, 1),
+    "board_size": (int, _RUN.size),
+    "players": (int, _RUN.players),
+    "total_steps": (int, _RUN.total_steps),
+    "bin": (int, _RUN.bin_size),
+    "trials": (int, _RUN.trials),
+    "seed": (int, _RUN.seed),
+    "variant": (_parse_variant, _RUN.variant),
+    **{
+        f"agent{i}": (_parse_agent, kind)
+        for i, kind in enumerate(_RUN.agent_kinds)
+    },
+    "invasion_bonus": (int, _RUN.rewards.invasion_bonus),
+    "invasion_penalty": (int, _RUN.rewards.invasion_penalty),
+    "vote_bonus": (int, _RUN.rewards.vote_bonus),
+    "vote_penalty": (int, _RUN.rewards.vote_penalty),
+    "alpha": (float, _RUN.hp.alpha),
+    "gamma": (float, _RUN.hp.gamma),
+    "eps0": (float, _RUN.hp.eps0),
+    "eps_decay": (float, _RUN.hp.eps_decay),
+    "alpha_c": (float, _ANALYSIS.thresholds.alpha_c),
+    "alpha_d": (float, _ANALYSIS.thresholds.alpha_d),
+    "workers": (int, _RUN.workers),
     # matrix-analysis pipeline
-    "train_steps": (int, 250_000),
-    "defect_train_steps": (int, 20_000),
-    "match_steps": (int, 100_000),
-    "match_trials": (int, 15),
-    "eval_steps": (int, 20_000),
-    "match_players": (int, 2),
-    "match_variant": (_parse_variant, Variant.BASE),
+    "train_steps": (int, _ANALYSIS.train_steps),
+    "defect_train_steps": (int, _ANALYSIS.defect_train_steps),
+    "match_steps": (int, _ANALYSIS.match_steps),
+    "match_trials": (int, _ANALYSIS.match_trials),
+    "eval_steps": (int, _ANALYSIS.eval_steps),
+    "match_players": (int, _ANALYSIS.players),
+    "match_variant": (_parse_variant, _ANALYSIS.match_variant),
 }
 
 
@@ -108,6 +111,10 @@ class ResolvedConfig:
 
     def run_config(self) -> RunConfig:
         s = self.settings
+        if not 1 <= s["players"] <= MAX_PLAYERS:
+            raise ValueError(
+                f"players must be in 1..{MAX_PLAYERS}, got {s['players']}"
+            )
         kinds = tuple(s[f"agent{i}"] for i in range(s["players"]))
         return RunConfig(
             size=s["board_size"],

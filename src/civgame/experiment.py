@@ -19,7 +19,6 @@ from typing import Sequence
 
 from .agents import (
     AgentKind,
-    AgentMode,
     Hyperparams,
     QTable,
     epsilon_at,
@@ -69,6 +68,8 @@ class RunConfig:
     workers: int = 1
 
     def __post_init__(self) -> None:
+        if self.bin_size < 1:
+            raise ValueError("bin_size must be >= 1")
         if self.total_steps % self.bin_size != 0:
             raise ValueError("bin_size must divide total_steps")
         if self.trials < 1:
@@ -124,64 +125,19 @@ class MetricsBin:
     def cs_avg(self) -> float:
         return self.cs_sum / self.bin_size
 
-    def fold(self, record: MoveRecord | VoteRecord) -> None:
-        if isinstance(record, MoveRecord):
-            self.cs_sum += record.reward
-            self.action_counts[record.player][record.action] += 1
-            if record.invaded_sample >= 0:
-                self.invasions += record.invaded_sample
-        else:
-            self.cs_sum += sum(record.rewards)
-            self.invasions += record.invaded_sample
-            self.successful_defers += record.success
-            for player, ballot in enumerate(record.ballots):
-                self.action_counts[player][ballot] += 1
-
-
-def bin_metrics(
-    records: Sequence[MoveRecord | VoteRecord],
-    players: int,
-    bin_size: int,
-    bin_start: int = 0,
-) -> MetricsBin:
-    """Fold one bin's worth of trace records into a MetricsBin."""
-    if len(records) != bin_size:
-        raise ValueError(f"expected {bin_size} records, got {len(records)}")
-    b = MetricsBin(bin_start=bin_start, bin_size=bin_size, players=players)
-    for record in records:
-        b.fold(record)
-    return b
-
-
-def action_breakdown(
-    records: Sequence[MoveRecord | VoteRecord], player: int, bin_size: int
-) -> list[list[int]]:
-    """Per-bin counts of the six actions taken by one player."""
-    bins: list[list[int]] = []
-    for start in range(0, len(records), bin_size):
-        counts = [0] * NUM_ACTIONS
-        for record in records[start : start + bin_size]:
-            if isinstance(record, MoveRecord):
-                if record.player == player:
-                    counts[record.action] += 1
-            else:
-                counts[record.ballots[player]] += 1
-        bins.append(counts)
-    return bins
-
 
 @dataclass
 class AgentSetup:
-    """Per-seat runner wiring; `table=None` with a learning kind means fresh."""
+    """Per-seat runner wiring; `table=None` with a learning kind means fresh.
 
-    mode: AgentMode
+    Every kind but random learns; hq learners also broadcast their updates
+    and learn from vote payouts.
+    """
+
+    kind: AgentKind
     table: QTable | None = None
     learn: bool = True
     fixed_eps: float | None = None
-
-    @classmethod
-    def for_kind(cls, kind: AgentKind) -> "AgentSetup":
-        return cls(mode=AgentMode.for_kind(kind))
 
 
 @dataclass
@@ -217,28 +173,27 @@ def run_game(
 
     Each step: the mover (or every voter) picks an action epsilon-greedily
     from its own table, the environment transitions, and Q-updates plus
-    broadcasts are applied according to each seat's mode.
+    broadcasts are applied according to each seat's agent kind.
     """
     p, hp, rc = cfg.players, cfg.hp, cfg.rewards
     sovereign = cfg.variant is Variant.SOVEREIGN
     if setups is None:
-        setups = [AgentSetup.for_kind(k) for k in cfg.agent_kinds]
+        setups = [AgentSetup(k) for k in cfg.agent_kinds]
 
     rngs = [agent_rng(trial_seed, i) for i in range(p)]
     tables: list[QTable | None] = []
-    for i, setup in enumerate(setups):
+    for setup in setups:
         if setup.table is not None:
             table = setup.table
-            table.rng = rngs[i]
-        elif setup.mode.learns:
-            table = QTable(rngs[i])
+        elif setup.kind is not AgentKind.RANDOM:
+            table = QTable()
         else:
             table = None
         tables.append(table)
 
     recv_tables = [
-        tables[i] if setups[i].mode.ola and setups[i].learn else None
-        for i in range(p)
+        table if setup.kind is AgentKind.HQLEARNER and setup.learn else None
+        for table, setup in zip(tables, setups)
     ]
     any_receiver = any(t is not None for t in recv_tables)
 
@@ -260,7 +215,7 @@ def run_game(
     def choose(i: int, legal: list[Action], t: int) -> Action:
         setup = setups[i]
         rng = rngs[i]
-        if setup.mode.kind is AgentKind.RANDOM:
+        if setup.kind is AgentKind.RANDOM:
             return legal[rng.randrange(len(legal))]
         eps = setup.fixed_eps
         if eps is None:
@@ -287,7 +242,7 @@ def run_game(
                 # learners: on success everyone updates as if it had
                 # deferred, on failure only the duped defer voters learn
                 # the penalty
-                if setup.learn and setup.mode.sovereign_update:
+                if setup.learn and setup.kind is AgentKind.HQLEARNER:
                     if success or ballots[i] == Action.DEFER:
                         q_update(
                             tables[i], key, Action.DEFER, payouts[i],
@@ -326,7 +281,7 @@ def run_game(
         next_key = encode_state(state)
 
         setup = setups[i]
-        if setup.learn and setup.mode.learns:
+        if setup.learn and setup.kind is not AgentKind.RANDOM:
             if not sovereign:
                 legal_next = legal_actions(state, state.move)
             elif state.move == p:
@@ -336,7 +291,7 @@ def run_game(
             else:
                 legal_next = sovereign_legal_actions(state, state.move, phase)
             delta = q_update(tables[i], key, action, r, next_key, legal_next, hp)
-            if setup.mode.ola and any_receiver:
+            if setup.kind is AgentKind.HQLEARNER and any_receiver:
                 ola_broadcast(recv_tables, pre_state, action, delta, i, hp)
 
         total_reward += r
@@ -446,36 +401,3 @@ def write_actions(summary: TrialSummary, path: str) -> None:
                     w.writerow(
                         [trial, b.bin_start, player, *b.action_counts[player]]
                     )
-
-
-def read_learning_curve(path: str) -> list[dict]:
-    """Parse learning_curve.csv back into typed rows (round-trip safe)."""
-    rows = []
-    with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.DictReader(f)
-        if reader.fieldnames != LEARNING_CURVE_HEADER:
-            raise ValueError(f"unexpected header in {path}: {reader.fieldnames}")
-        for row in reader:
-            rows.append(
-                {
-                    "trial": int(row["trial"]),
-                    "bin_start": int(row["bin_start"]),
-                    "cs_sum": int(row["cs_sum"]),
-                    "cs_avg": float(row["cs_avg"]),
-                    "invasions": int(row["invasions"]),
-                    "successful_defers": int(row["successful_defers"]),
-                }
-            )
-    return rows
-
-
-def read_actions(path: str) -> list[dict]:
-    """Parse actions.csv back into typed rows (round-trip safe)."""
-    rows = []
-    with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.DictReader(f)
-        if reader.fieldnames != ACTIONS_HEADER:
-            raise ValueError(f"unexpected header in {path}: {reader.fieldnames}")
-        for row in reader:
-            rows.append({k: int(v) for k, v in row.items()})
-    return rows

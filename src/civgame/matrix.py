@@ -16,21 +16,13 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Sequence
 
-from .agents import AgentKind, AgentMode, Hyperparams, QTable
-from .experiment import (
-    AgentSetup,
-    MoveRecord,
-    RunConfig,
-    Variant,
-    VoteRecord,
-    run_game,
-    stream_seed,
-)
+from .agents import AgentKind, Hyperparams, QTable
+from .experiment import AgentSetup, RunConfig, Variant, run_game, stream_seed
 from .game import RewardConfig
 
 
 class InsufficientDataError(ValueError):
-    """A trace is too short to yield a meaningful behavior metric."""
+    """Too few moves to yield a meaningful behavior metric."""
 
 
 class PolicyClassificationError(ValueError):
@@ -63,25 +55,10 @@ class Thresholds:
 
 
 def alpha_from_counts(invasions: int, moves: int) -> float:
+    """Invasions committed per hundred moves taken (ballots count as moves)."""
     if moves < 100:
         raise InsufficientDataError(f"need >= 100 moves, got {moves}")
     return 100.0 * invasions / moves
-
-
-def social_metric(
-    trace: Sequence[MoveRecord | VoteRecord], player: int
-) -> float:
-    """Invasions committed per hundred moves taken, over a trace."""
-    moves = 0
-    invasions = 0
-    for record in trace:
-        if isinstance(record, MoveRecord):
-            if record.player == player:
-                moves += 1
-                invasions += record.invasion
-        else:
-            moves += 1  # the player's ballot counts as a move
-    return alpha_from_counts(invasions, moves)
 
 
 def classify_policy(alpha: float, thresholds: Thresholds) -> PolicyClass:
@@ -133,41 +110,6 @@ class PayoffMatrix:
         )
 
 
-def fear_greed(m: PayoffMatrix) -> tuple[float, float]:
-    """Recompute (fear, greed) = (P - S, T - R) from the stored payoffs."""
-    return m.P - m.S, m.T - m.R
-
-
-def long_term_payoff(
-    trace: Sequence[MoveRecord | VoteRecord],
-    player: int,
-    steps: int,
-    gamma: float | None = None,
-) -> float:
-    """Cumulative reward of `player` divided by the step count.
-
-    Undiscounted by default; pass gamma for the discounted variant
-    (still divided by steps, for scale).
-    """
-    total = 0.0
-    if gamma is None:
-        for record in trace:
-            if isinstance(record, MoveRecord):
-                if record.player == player:
-                    total += record.reward
-            else:
-                total += record.rewards[player]
-    else:
-        for record in trace:
-            if isinstance(record, MoveRecord):
-                r = record.reward if record.player == player else 0
-            else:
-                r = record.rewards[player]
-            if r:
-                total += gamma**record.step * r
-    return total / steps
-
-
 @dataclass
 class TrainedPolicy:
     """Seat-bound frozen tables plus the behavior stats that classify them."""
@@ -212,7 +154,7 @@ def _frozen_setups(
 ) -> list[AgentSetup]:
     return [
         AgentSetup(
-            mode=AgentMode(kind=AgentKind.QLEARNER, ola=False, sovereign_update=False),
+            kind=AgentKind.QLEARNER,
             table=table.copy(),
             learn=False,
             fixed_eps=eps,
@@ -384,16 +326,6 @@ def run_payoff_trials(
         aggregate=aggregate,
         stag_hunt_fraction=stag,
     )
-
-
-def payoff_matrix(
-    coop: TrainedPolicy,
-    defect: TrainedPolicy,
-    cfg: AnalysisConfig,
-    matchup_fn: MatchupFn | None = None,
-) -> PayoffMatrix:
-    """Trial-averaged payoff matrix for a cooperative/defecting policy pair."""
-    return run_payoff_trials(cfg, coop, defect, matchup_fn).aggregate
 
 
 def run_analysis(cfg: AnalysisConfig) -> AnalysisResult:

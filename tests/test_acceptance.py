@@ -153,7 +153,7 @@ def test_criterion_3_reward_oracle_equivalence():
 def test_criterion_4_bellman_identity():
     with criterion(4, "Bellman identity on 10,000 random tuples"):
         rng = random.Random(2024)
-        q = QTable(random.Random(1))
+        q = QTable()
         for _ in range(10_000):
             key, nxt = rng.randbytes(8), rng.randbytes(8)
             a = Action(rng.randrange(6))
@@ -185,13 +185,10 @@ def test_criterion_5_ola_write_pattern():
             seed=77,
             variant=Variant.BASE,  # every turn is an ordinary OLA turn
         )
-        from civgame.agents import AgentMode
-
-        mode = AgentMode.for_kind(AgentKind.HQLEARNER)
-        tables = [QTable(random.Random(i)) for i in range(4)]
+        tables = [QTable() for _ in range(4)]
         for table in tables:
             table.write_log = []
-        setups = [AgentSetup(mode=mode, table=t) for t in tables]
+        setups = [AgentSetup(kind=AgentKind.HQLEARNER, table=t) for t in tables]
         result = run_game(cfg, 77, setups=setups, keep_trace=True)
 
         # every turn lands exactly one write in every table: its own update
@@ -341,15 +338,20 @@ def test_criterion_8_learning_reproduction():
 
 @pytest.mark.slow
 def test_criterion_9_matrix_analysis_reproduction():
-    """Partially red by design.
+    """Partially red by design: two clauses fail.
 
-    The Stag Hunt fraction and reference-matrix clauses hold, but the
-    |greed| <= 0.1 band cannot coexist with them: a genuinely cooperative
-    policy farms ~3.5 points/step while any defecting-classified policy
-    extracts only ~1.0 against it, so greed = T - R is structurally about
-    -2.5. Tightening play until the band holds (all four payoffs equal up
-    to noise) was measured to drop the Stag Hunt fraction to ~0.13. The
-    asserts are kept exactly as specified.
+    The first assert to fail is fear > 0 in >= 80% of trials: at seed 1
+    it holds in 11 of 15. P and S are both about 1.0 point/step, so
+    |fear| stays below 0.08 and its sign is within sampling noise.
+
+    The |greed| <= 0.1 band fails as well, and cannot coexist with the
+    clauses that hold (Stag Hunt fraction, |fear| <= 0.1, reference
+    matrices): a genuinely cooperative policy farms ~3.5 points/step while
+    any defecting-classified policy extracts only ~1.0 against it, so
+    greed = T - R is structurally about -2.5. Tightening play until the
+    band holds (all four payoffs equal up to noise) was measured to drop
+    the Stag Hunt fraction to ~0.13. The asserts are kept exactly as
+    specified.
     """
     with criterion(9, "matrix game: fear-dominant, mostly Stag Hunt, small incentives"):
         result = run_analysis(AnalysisConfig(seed=1))

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from civgame.agents import (
     AgentKind,
-    AgentMode,
     Hyperparams,
     QTable,
     dump_qtable,
@@ -23,13 +22,10 @@ from civgame.agents import (
     q_update,
     select_action,
 )
+from civgame.experiment import AgentSetup, RunConfig, Variant, VoteRecord, run_game
 from civgame.game import Action, encode_state, initial_state
 
 HP = Hyperparams()
-
-
-def table(seed=0) -> QTable:
-    return QTable(random.Random(seed))
 
 
 # --- epsilon schedule ---------------------------------------------------------
@@ -65,7 +61,7 @@ def test_hyperparams_validate_range():
 
 
 def test_select_exploits_best_value():
-    q = table()
+    q = QTable()
     key = b"state"
     q.set(key, Action.UP, 1.0)
     q.set(key, Action.DOWN, 3.0)
@@ -77,7 +73,7 @@ def test_select_exploits_best_value():
 
 
 def test_select_explores_uniformly_at_eps_one():
-    q = table()
+    q = QTable()
     legal = [Action.UP, Action.DOWN, Action.LEFT]
     rng = random.Random(9)
     counts = Counter(select_action(q, b"s", legal, 1.0, rng) for _ in range(9000))
@@ -86,7 +82,7 @@ def test_select_explores_uniformly_at_eps_one():
 
 
 def test_select_breaks_ties_uniformly():
-    q = table()
+    q = QTable()
     key = b"tied"
     legal = [Action.UP, Action.DOWN, Action.LEFT, Action.RIGHT]
     for a in legal:
@@ -101,12 +97,12 @@ def test_select_breaks_ties_uniformly():
 
 def test_select_rejects_empty_legal():
     with pytest.raises(ValueError):
-        select_action(table(), b"s", [], 0.5, random.Random(0))
+        select_action(QTable(), b"s", [], 0.5, random.Random(0))
 
 
 def test_select_accepts_game_state():
     s = initial_state(3, 2)
-    q = table()
+    q = QTable()
     q.set(encode_state(s), Action.RIGHT, 5.0)
     got = select_action(q, s, [Action.DOWN, Action.RIGHT], 0.0, random.Random(0))
     assert got is Action.RIGHT
@@ -116,7 +112,7 @@ def test_select_accepts_game_state():
 
 
 def test_q_update_worked_example():
-    q = table()
+    q = QTable()
     q.set(b"s", Action.UP, 2.0)
     q.set(b"t", Action.DOWN, 4.0)
     q.set(b"t", Action.UP, 1.0)
@@ -127,7 +123,7 @@ def test_q_update_worked_example():
 
 
 def test_q_update_alpha_zero_changes_nothing():
-    q = table()
+    q = QTable()
     q.set(b"s", Action.UP, 2.0)
     hp = Hyperparams(alpha=0.0)
     q_update(q, b"s", Action.UP, 100, b"t", [Action.UP], hp)
@@ -135,7 +131,7 @@ def test_q_update_alpha_zero_changes_nothing():
 
 
 def test_q_update_myopic_alpha_one_gamma_zero():
-    q = table()
+    q = QTable()
     q.set(b"s", Action.UP, 123.0)
     hp = Hyperparams(alpha=1.0, gamma=0.0)
     q_update(q, b"s", Action.UP, 7, b"t", [Action.UP], hp)
@@ -144,7 +140,7 @@ def test_q_update_myopic_alpha_one_gamma_zero():
 
 def test_bellman_identity_random_tuples():
     rng = random.Random(42)
-    q = table(1)
+    q = QTable()
     for i in range(10_000):
         key = rng.randbytes(6)
         nxt = rng.randbytes(6)
@@ -171,7 +167,7 @@ def test_bellman_identity_random_tuples():
     gamma=st.floats(0, 1),
 )
 def test_bellman_identity_property(old, r, best, alpha, gamma):
-    q = table(3)
+    q = QTable()
     q.set(b"s", Action.UP, old)
     q.set(b"n", Action.STAY, best)
     hp = Hyperparams(alpha=alpha, gamma=gamma)
@@ -182,19 +178,10 @@ def test_bellman_identity_property(old, r, best, alpha, gamma):
 
 
 def test_lazy_rows_default_to_exact_ties():
-    q = table(7)
+    q = QTable()
     row = q.row(b"unseen")
     assert row == [0.0] * 6
     assert q.row(b"unseen") is row  # one row per key, not fresh objects
-
-
-def test_lazy_rows_optional_noise_init():
-    q = QTable(random.Random(7), init_spread=0.01)
-    row = q.row(b"unseen")
-    assert len(row) == 6
-    assert all(-0.01 <= v <= 0.01 for v in row)
-    assert any(v != 0.0 for v in row)
-    assert q.row(b"unseen") == row  # persisted, not redrawn
 
 
 # --- alternate-reality swap ----------------------------------------------------
@@ -231,7 +218,7 @@ def test_ola_state_rejects_self_swap():
 
 def test_broadcast_blends_mover_delta_verbatim():
     s = replace(initial_state(3, 2), move=0)
-    tables = [table(0), table(1)]
+    tables = [QTable(), QTable()]
     observer_key = encode_state(ola_state(s, 1, 0))
     before = tables[1].value(observer_key, Action.RIGHT)
     delta = 6.98
@@ -242,7 +229,7 @@ def test_broadcast_blends_mover_delta_verbatim():
 
 def test_broadcast_write_counts():
     s = initial_state(4, 4)
-    tables = [table(i) for i in range(4)]
+    tables = [QTable() for i in range(4)]
     for t in tables:
         t.write_log = []
     ola_broadcast(tables, s, Action.DOWN, 1.0, 2, HP)
@@ -251,7 +238,7 @@ def test_broadcast_write_counts():
 
 def test_broadcast_skips_disabled_observers():
     s = initial_state(4, 4)
-    tables = [table(0), None, table(2), None]
+    tables = [QTable(), None, QTable(), None]
     for t in tables:
         if t is not None:
             t.write_log = []
@@ -261,19 +248,49 @@ def test_broadcast_skips_disabled_observers():
 
 
 def test_agent_mode_flags():
-    hq = AgentMode.for_kind(AgentKind.HQLEARNER)
-    ql = AgentMode.for_kind(AgentKind.QLEARNER)
-    rnd = AgentMode.for_kind(AgentKind.RANDOM)
-    assert hq.ola and hq.sovereign_update
-    assert not ql.ola and not ql.sovereign_update
-    assert not rnd.learns
+    """hq learners broadcast and learn from votes, plain Q learners do
+    neither, random agents keep no table."""
+    cfg = RunConfig(
+        size=4, players=2, total_steps=300, bin_size=300, trials=1,
+        agent_kinds=(AgentKind.QLEARNER,) * 2, variant=Variant.SOVEREIGN,
+    )
+    for kind in (AgentKind.HQLEARNER, AgentKind.QLEARNER):
+        tables = [QTable(), QTable()]
+        for t in tables:
+            t.write_log = []
+        setups = [AgentSetup(kind, table=t) for t in tables]
+        res = run_game(cfg, 5, setups=setups, keep_trace=True)
+        turns = [0, 0]
+        vote_updates = [0, 0]  # on success everyone, else defer voters
+        for record in res.trace:
+            if isinstance(record, VoteRecord):
+                for i in range(2):
+                    vote_updates[i] += (
+                        record.success or record.ballots[i] is Action.DEFER
+                    )
+            else:
+                turns[record.player] += 1
+        writes = [len(t.write_log) for t in tables]
+        if kind is AgentKind.HQLEARNER:
+            assert sum(vote_updates) > 0
+            # own turns, vote payouts, one broadcast per turn of the other
+            assert writes == [
+                turns[0] + vote_updates[0] + turns[1],
+                turns[1] + vote_updates[1] + turns[0],
+            ]
+        else:
+            assert writes == turns  # no broadcasts, no vote-payout updates
+    res = run_game(
+        replace(cfg, agent_kinds=(AgentKind.RANDOM,) * 2), 5, keep_tables=True
+    )
+    assert res.tables == [None, None]
 
 
 # --- dump / load -----------------------------------------------------------------
 
 
 def test_dump_load_roundtrip():
-    q = table(13)
+    q = QTable()
     rng = random.Random(99)
     for _ in range(20):
         q.set(rng.randbytes(5), Action(rng.randrange(6)), rng.uniform(-10, 10))
@@ -281,12 +298,12 @@ def test_dump_load_roundtrip():
     lines = text.splitlines()
     assert lines == sorted(lines)
     assert all(len(line.split("\t")) == 3 for line in lines)
-    loaded = load_qtable(io.StringIO(text), random.Random(0))
+    loaded = load_qtable(io.StringIO(text))
     assert loaded.rows == q.rows
 
 
 def test_dump_format_17_significant_digits():
-    q = table()
+    q = QTable()
     q.set(b"k", Action.UP, 1 / 3)
     line = next(l for l in dump_qtable(q).splitlines() if "\tup\t" in l)
     assert float(line.split("\t")[2]) == 1 / 3

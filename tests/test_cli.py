@@ -8,7 +8,8 @@ from civgame.agents import AgentKind
 from civgame.charts import ChartError, render_csv
 from civgame.cli import main
 from civgame.config import ConfigError, load_config, parse_config
-from civgame.experiment import Variant
+from civgame.experiment import RunConfig, Variant
+from civgame.matrix import AnalysisConfig
 
 
 SMALL = """
@@ -45,6 +46,8 @@ def test_defaults_without_config_file():
     assert settings["alpha"] == 0.5 and settings["gamma"] == 0.99
     assert settings["eps0"] == 0.9 and settings["eps_decay"] == 0.9999
     assert settings["alpha_c"] == 5.0 and settings["alpha_d"] == 15.0
+    assert load_config(None).run_config() == RunConfig()
+    assert load_config(None).analysis_config() == AnalysisConfig()
 
 
 def test_parse_overrides_comments_blanks(tmp_path):
@@ -137,8 +140,15 @@ def test_simulate_bad_config_exits_2(tmp_path, capsys):
 
 
 def test_simulate_invalid_bin_exits_2(tmp_path):
-    cfg = write(tmp_path, "run.cfg", "total_steps=1000\nbin=300\n")
-    assert run_cli(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 2
+    for text in (
+        "total_steps=1000\nbin=300\n",
+        "bin=0\n",
+        "bin=-5\n",
+        "players=5\n",
+    ):
+        cfg = write(tmp_path, "run.cfg", text)
+        code = run_cli(["simulate", "--config", cfg, "--out", str(tmp_path)])
+        assert code == 2, text
 
 
 def test_simulate_unwritable_out_exits_3(tmp_path):

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from civgame.experiment import MoveRecord, VoteRecord
-from civgame.game import Action
+from civgame.agents import AgentKind, QTable
+from civgame.experiment import AgentSetup, MoveRecord, RunConfig, Variant, run_game
 from civgame.matrix import (
     AnalysisConfig,
     DilemmaClass,
@@ -17,47 +17,53 @@ from civgame.matrix import (
     TrainedPolicy,
     alpha_from_counts,
     classify_policy,
-    fear_greed,
-    long_term_payoff,
-    payoff_matrix,
+    play_matchup,
     run_payoff_trials,
-    social_metric,
     write_matrix_csv,
 )
 
 TH = Thresholds()
 
 
-def move(step, player, r=0, invasion=False):
-    return MoveRecord(step, player, b"k", Action.UP, r, invasion)
-
-
-def vote(step, rewards=(0, 0), success=False):
-    ballots = (Action.DEFER,) * len(rewards)
-    return VoteRecord(step, b"k", ballots, rewards, success, 0)
+def sovereign_run(steps, seed, keep_trace=False):
+    cfg = RunConfig(
+        size=4, players=2, total_steps=steps, bin_size=steps, trials=1,
+        agent_kinds=(AgentKind.QLEARNER,) * 2, seed=seed,
+        variant=Variant.SOVEREIGN,
+    )
+    return run_game(cfg, seed, keep_trace=keep_trace)
 
 
 # --- social behavior metric ------------------------------------------------
 
 
 def test_social_metric_arithmetic():
-    trace = [move(t, 0, invasion=(t < 4)) for t in range(200)]
-    assert social_metric(trace, 0) == pytest.approx(2.0)
+    assert alpha_from_counts(4, 200) == pytest.approx(2.0)
+    assert alpha_from_counts(0, 100) == 0.0
 
 
 def test_social_metric_counts_ballots_as_moves():
-    trace = [move(t, 0) for t in range(100)] + [vote(100)]
-    assert social_metric(trace, 0) == 0.0
+    # 2 players: a vote every 3rd step, and each vote is a move for both
+    res = sovereign_run(600, 6)
+    votes = 600 // 3
+    assert sum(res.moves_per_player) == (600 - votes) + 2 * votes
+    assert res.moves_per_player == [400, 400]
 
 
 def test_social_metric_requires_100_moves():
     with pytest.raises(InsufficientDataError):
-        social_metric([move(t, 0) for t in range(99)], 0)
+        alpha_from_counts(0, 99)
 
 
 def test_alpha_from_counts_matches_social_metric():
-    trace = [move(t, 1, invasion=(t % 10 == 0)) for t in range(300)]
-    assert social_metric(trace, 1) == alpha_from_counts(30, 300)
+    """alpha from the run's counters is invasions per 100 moves of the trace."""
+    res = sovereign_run(600, 6, keep_trace=True)
+    own = [r for r in res.trace if not isinstance(r, MoveRecord) or r.player == 1]
+    invasions = sum(isinstance(r, MoveRecord) and r.invasion for r in own)
+    assert invasions > 0
+    assert alpha_from_counts(
+        res.invasions_per_player[1], res.moves_per_player[1]
+    ) == 100.0 * invasions / len(own)
 
 
 # --- classification ----------------------------------------------------------
@@ -97,21 +103,20 @@ def test_classify_policy_monotone(a, b):
 
 def test_stag_hunt_reference_matrix():
     m = PayoffMatrix.from_payoffs(R=4, P=1, S=0, T=3)
-    assert fear_greed(m) == (1, -1)
+    assert (m.fear, m.greed) == (1, -1)
     assert m.classification is DilemmaClass.STAG_HUNT
 
 
 def test_prisoners_dilemma_reference_matrix():
     m = PayoffMatrix.from_payoffs(R=3, P=1, S=0, T=4)
-    assert fear_greed(m) == (1, 1)
+    assert (m.fear, m.greed) == (1, 1)
     assert m.classification is DilemmaClass.PRISONERS_DILEMMA
 
 
 def test_reported_empirical_matrix_is_stag_hunt():
     m = PayoffMatrix.from_payoffs(R=0.459, P=0.455, S=0.426, T=0.446)
-    fear, greed = fear_greed(m)
-    assert fear == pytest.approx(0.029)
-    assert greed == pytest.approx(-0.013)
+    assert m.fear == pytest.approx(0.029)
+    assert m.greed == pytest.approx(-0.013)
     assert m.classification is DilemmaClass.STAG_HUNT
 
 
@@ -133,60 +138,50 @@ def test_no_dilemma_when_inequalities_fail():
 
 def test_fear_greed_degenerate_all_equal():
     m = PayoffMatrix.from_payoffs(1.5, 1.5, 1.5, 1.5)
-    assert fear_greed(m) == (0.0, 0.0)
+    assert (m.fear, m.greed) == (0.0, 0.0)
 
 
 def test_fear_greed_matches_stored_fields_exactly():
     m = PayoffMatrix.from_payoffs(R=0.459, P=0.455, S=0.426, T=0.446)
-    fear, greed = fear_greed(m)
-    assert (fear, greed) == (m.fear, m.greed)
+    assert (m.fear, m.greed) == (0.455 - 0.426, 0.446 - 0.459)
 
 
 # --- long-term payoff ----------------------------------------------------------
 
 
-def test_long_term_payoff_zero_game():
-    trace = [move(t, 0, r=0) for t in range(100)]
-    assert long_term_payoff(trace, 0, 100) == 0.0
-
-
 def test_long_term_payoff_counts_votes_and_moves():
-    trace = [move(0, 0, r=3), move(1, 1, r=5), vote(2, rewards=(15, 15))]
-    assert long_term_payoff(trace, 0, 3) == pytest.approx(6.0)
-    assert long_term_payoff(trace, 1, 3) == pytest.approx(20 / 3)
-
-
-def test_long_term_payoff_periodic_trace_scale_invariant():
-    period = [move(0, 0, r=2), move(1, 1, r=4)]
-    t1 = [
-        MoveRecord(t, r.player, r.key, r.action, r.reward, False)
-        for t, r in enumerate(period * 50)
+    """A frozen sovereign match pays each seat its own turns' rewards plus
+    its share of every vote payout, per step."""
+    cfg = AnalysisConfig(size=4, players=2, match_variant=Variant.SOVEREIGN)
+    tables = [QTable(), QTable()]
+    payoffs, _, _ = play_matchup(cfg, tables, [1.0, 1.0], 300, 4)
+    # the same match, replayed from its trace
+    run_cfg = RunConfig(
+        size=4, players=2, total_steps=300, bin_size=300, trials=1,
+        agent_kinds=(AgentKind.QLEARNER,) * 2, variant=Variant.SOVEREIGN,
+    )
+    setups = [
+        AgentSetup(AgentKind.QLEARNER, table=t, learn=False, fixed_eps=1.0)
+        for t in tables
     ]
-    t2 = [
-        MoveRecord(t, r.player, r.key, r.action, r.reward, False)
-        for t, r in enumerate(period * 100)
-    ]
-    v1 = long_term_payoff(t1, 0, 100)
-    v2 = long_term_payoff(t2, 0, 200)
-    assert abs(v1 - v2) <= 0.01 * abs(v1)
-
-
-def test_long_term_payoff_discounted_variant():
-    trace = [move(0, 0, r=10), move(1, 0, r=10)]
-    v = long_term_payoff(trace, 0, 2, gamma=0.5)
-    assert v == pytest.approx((10 + 5) / 2)
+    res = run_game(run_cfg, 4, setups=setups, keep_trace=True)
+    totals = [0, 0]
+    for record in res.trace:
+        if isinstance(record, MoveRecord):
+            totals[record.player] += record.reward
+        else:
+            totals[0] += record.rewards[0]
+            totals[1] += record.rewards[1]
+    assert payoffs == [totals[0] / 300, totals[1] / 300]
 
 
 # --- matchup plumbing -----------------------------------------------------------
 
 
 def make_policy(kind_alpha, alpha):
-    from civgame.agents import AgentKind, QTable
-    import random
-
     return TrainedPolicy(
         kind=kind_alpha,
-        tables=[QTable(random.Random(0)), QTable(random.Random(1))],
+        tables=[QTable(), QTable()],
         final_eps=0.0,
         alpha=alpha,
     )
@@ -202,50 +197,42 @@ def stub_matchup(payoffs_by_call):
 
 
 def test_payoff_matrix_reproduces_stub_values():
-    from civgame.agents import AgentKind
-
     coop = make_policy(AgentKind.HQLEARNER, alpha=1.0)
     defect = make_policy(AgentKind.QLEARNER, alpha=30.0)
     cfg = AnalysisConfig(match_trials=1, seed=5)
     # calls per trial: cc, dd, cd, dc
     fn = stub_matchup([[4.0, 4.0], [1.0, 1.0], [0.0, 3.0], [3.0, 0.0]])
-    m = payoff_matrix(coop, defect, cfg, matchup_fn=fn)
+    m = run_payoff_trials(cfg, coop, defect, matchup_fn=fn).aggregate
     assert (m.R, m.P, m.S, m.T) == (4.0, 1.0, 0.0, 3.0)
     assert m.classification is DilemmaClass.STAG_HUNT
 
 
 def test_payoff_matrix_averages_mixed_seatings():
-    from civgame.agents import AgentKind
-
     coop = make_policy(AgentKind.HQLEARNER, alpha=0.0)
     defect = make_policy(AgentKind.QLEARNER, alpha=99.0)
     cfg = AnalysisConfig(match_trials=1, seed=5)
     fn = stub_matchup([[4.0, 4.0], [1.0, 1.0], [0.2, 3.0], [3.4, 0.4]])
-    m = payoff_matrix(coop, defect, cfg, matchup_fn=fn)
+    m = run_payoff_trials(cfg, coop, defect, matchup_fn=fn).aggregate
     assert m.S == pytest.approx(0.3)  # (0.2 + 0.4) / 2
     assert m.T == pytest.approx(3.2)  # (3.0 + 3.4) / 2
 
 
 def test_payoff_matrix_rejects_misclassified_inputs():
-    from civgame.agents import AgentKind
-
     coop = make_policy(AgentKind.HQLEARNER, alpha=10.0)  # in the gap
     defect = make_policy(AgentKind.QLEARNER, alpha=30.0)
     cfg = AnalysisConfig(match_trials=1)
     with pytest.raises(PolicyClassificationError):
-        payoff_matrix(coop, defect, cfg, matchup_fn=stub_matchup([]))
+        run_payoff_trials(cfg, coop, defect, matchup_fn=stub_matchup([]))
     with pytest.raises(PolicyClassificationError):
-        payoff_matrix(
+        run_payoff_trials(
+            cfg,
             make_policy(AgentKind.HQLEARNER, 0.0),
             make_policy(AgentKind.QLEARNER, 10.0),
-            cfg,
             matchup_fn=stub_matchup([]),
         )
 
 
 def test_run_payoff_trials_aggregate_and_fraction(tmp_path):
-    from civgame.agents import AgentKind
-
     coop = make_policy(AgentKind.HQLEARNER, alpha=1.0)
     defect = make_policy(AgentKind.QLEARNER, alpha=30.0)
     cfg = AnalysisConfig(match_trials=2, seed=5)
@@ -272,28 +259,9 @@ def test_run_payoff_trials_aggregate_and_fraction(tmp_path):
     assert lines[-1].endswith(",0.5")
 
 
-def test_social_metric_agrees_with_run_counters():
-    """The trace-level metric and the runner's counters are one number."""
-    import random
-
-    from civgame.agents import AgentKind
-    from civgame.experiment import RunConfig, Variant, run_game
-
-    cfg = RunConfig(
-        size=4, players=2, total_steps=600, bin_size=600, trials=1,
-        agent_kinds=(AgentKind.QLEARNER,) * 2, seed=6, variant=Variant.SOVEREIGN,
-    )
-    res = run_game(cfg, 6, keep_trace=True)
-    for player in range(2):
-        assert social_metric(res.trace, player) == alpha_from_counts(
-            res.invasions_per_player[player], res.moves_per_player[player]
-        )
-
-
 def test_frozen_matchup_runs_and_is_seeded():
     """End-to-end miniature: tiny training then a real frozen matchup."""
-    from civgame.agents import AgentKind
-    from civgame.matrix import play_matchup, train_policy
+    from civgame.matrix import train_policy
 
     cfg = AnalysisConfig(
         size=3,

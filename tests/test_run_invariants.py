@@ -1,10 +1,9 @@
 """Cross-cutting run-level invariants: write patterns, reproducibility,
 forced-cycle behavior."""
 
-import random
 from dataclasses import replace
 
-from civgame.agents import AgentKind, AgentMode, QTable, dump_qtable
+from civgame.agents import AgentKind, QTable, dump_qtable
 from civgame.experiment import (
     AgentSetup,
     MoveRecord,
@@ -32,11 +31,10 @@ def hql_cfg(**kw):
 
 
 def instrumented_run(cfg, seed):
-    mode = AgentMode.for_kind(AgentKind.HQLEARNER)
-    tables = [QTable(random.Random(i)) for i in range(cfg.players)]
+    tables = [QTable() for _ in range(cfg.players)]
     for t in tables:
         t.write_log = []
-    setups = [AgentSetup(mode=mode, table=t) for t in tables]
+    setups = [AgentSetup(kind=AgentKind.HQLEARNER, table=t) for t in tables]
     result = run_game(cfg, seed, setups=setups, keep_trace=True)
     return result, tables
 
