@@ -66,6 +66,21 @@ def test_alpha_from_counts_matches_social_metric():
     ) == 100.0 * invasions / len(own)
 
 
+def test_social_metric_agrees_with_run_counters():
+    """Each seat's alpha from the run's counters equals its trace recount."""
+    res = sovereign_run(600, 6, keep_trace=True)
+    for player in range(2):
+        own = [
+            r for r in res.trace if not isinstance(r, MoveRecord) or r.player == player
+        ]
+        invasions = sum(isinstance(r, MoveRecord) and r.invasion for r in own)
+        assert res.invasions_per_player[player] == invasions
+        assert res.moves_per_player[player] == len(own)
+        assert alpha_from_counts(
+            res.invasions_per_player[player], res.moves_per_player[player]
+        ) == alpha_from_counts(invasions, len(own))
+
+
 # --- classification ----------------------------------------------------------
 
 
