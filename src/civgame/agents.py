@@ -14,9 +14,17 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import IO, Iterable, Sequence
 
-from .game import Action, GameState, encode_state, occupied_cell
+from .game import (
+    BOARD_OFFSET,
+    Action,
+    GameState,
+    encode_state,
+    key_offsets,
+    occupied_cell,
+)
 
 NUM_ACTIONS = len(Action)
+_ZERO_ROW = (0.0,) * NUM_ACTIONS
 
 
 @dataclass(frozen=True)
@@ -84,12 +92,6 @@ class QTable:
         if self.write_log is not None:
             self.write_log.append((key, action, old, new, delta))
 
-    def copy(self) -> "QTable":
-        """Independent copy of the rows, sharing nothing mutable."""
-        dup = QTable()
-        dup.rows = {k: row[:] for k, row in self.rows.items()}
-        return dup
-
     def __len__(self) -> int:
         return len(self.rows)
 
@@ -100,14 +102,22 @@ def select_action(
     legal: Sequence[Action],
     eps: float,
     rng: random.Random,
+    *,
+    grow: bool = True,
 ) -> Action:
-    """Epsilon-greedy over the legal set, uniform tie-breaking on exploit."""
+    """Epsilon-greedy over the legal set, uniform tie-breaking on exploit.
+
+    A learning seat reads through QTable.row, which adds a zero row for
+    an unseen key. With grow=False (a seat that does not learn) an unseen
+    key reads as zeros and the table is left as it is; the choice and the
+    random draws are the same either way.
+    """
     if not legal:
         raise ValueError("legal action set is empty")
     if rng.random() < eps:
         return legal[rng.randrange(len(legal))]
     key = state_or_key if isinstance(state_or_key, bytes) else encode_state(state_or_key)
-    row = q.row(key)
+    row = q.row(key) if grow else q.rows.get(key, _ZERO_ROW)
     best = max(row[a] for a in legal)
     ties = [a for a in legal if row[a] == best]
     return ties[0] if len(ties) == 1 else ties[rng.randrange(len(ties))]
@@ -147,7 +157,7 @@ def ola_state(state: GameState, observer: int, mover: int) -> GameState:
 
 def ola_broadcast(
     tables: Sequence[QTable | None],
-    state: GameState,
+    key: bytes,
     action: Action,
     delta: float,
     mover: int,
@@ -155,14 +165,29 @@ def ola_broadcast(
 ) -> None:
     """Blend the mover's update increment into every other player's table.
 
-    Each observer's write lands at the swap-constructed state, with the
-    mover's delta verbatim (not recomputed). Entries of `tables` that are
-    None (broadcasting disabled for that seat) are skipped.
+    `key` is the encode_state key of the pre-move state, with `mover` to
+    move. Each observer's write lands at the key of ola_state(state,
+    observer, mover), built on the bytes: the two players' position bytes
+    and invaded bytes are swapped and the move byte names the observer.
+    The mover's delta is blended verbatim (not recomputed). Entries of
+    `tables` that are None (broadcasting disabled for that seat) are
+    skipped.
     """
+    invaded_at, move_at, _ = key_offsets(key[0], key[1])
+    mover_cell = occupied_cell(mover)
+    mover_loc = key.index(mover_cell, BOARD_OFFSET)
+    mover_flag = key[invaded_at + mover]
     for i, table in enumerate(tables):
         if i == mover or table is None:
             continue
-        table.blend(encode_state(ola_state(state, i, mover)), action, delta, hp.alpha)
+        cell = occupied_cell(i)
+        swapped = bytearray(key)
+        swapped[key.index(cell, BOARD_OFFSET)] = mover_cell
+        swapped[mover_loc] = cell
+        swapped[invaded_at + i] = mover_flag
+        swapped[invaded_at + mover] = key[invaded_at + i]
+        swapped[move_at] = i
+        table.blend(bytes(swapped), action, delta, hp.alpha)
 
 
 def dump_qtable(q: QTable, fp: IO[str] | None = None) -> str:

@@ -27,22 +27,28 @@ from .agents import (
     select_action,
 )
 from .game import (
+    BOARD_OFFSET,
     Action,
-    GameState,
+    UNOWNED,
     RewardConfig,
+    corner_cells,
     encode_state,
     initial_state,
-    is_invasion,
-    legal_actions,
-    reward,
-    transition,
+    key_offsets,
+    neighbours,
+    occupied_cell,
+    territory_cell,
 )
-from .sovereign import (
-    VotePhase,
+from .sovereign import vote_succeeds
+
+# The GameState rules that run_game applies to the key bytes. perfbench's
+# tracer looks these names up here as layer sites (perfbench/sites.py).
+from .game import is_invasion, legal_actions, reward, transition  # noqa: F401
+from .sovereign import (  # noqa: F401
     consume_flag,
     sovereign_legal_actions,
-    sovereign_transition,
     sovereign_reward,
+    sovereign_transition,
 )
 
 NUM_ACTIONS = len(Action)
@@ -70,6 +76,8 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.bin_size < 1:
             raise ValueError("bin_size must be >= 1")
+        if self.total_steps < 1:
+            raise ValueError(f"total_steps must be >= 1, got {self.total_steps}")
         if self.total_steps % self.bin_size != 0:
             raise ValueError("bin_size must divide total_steps")
         if self.trials < 1:
@@ -131,7 +139,8 @@ class AgentSetup:
     """Per-seat runner wiring; `table=None` with a learning kind means fresh.
 
     Every kind but random learns; hq learners also broadcast their updates
-    and learn from vote payouts.
+    and learn from vote payouts. A seat with `learn=False` plays frozen:
+    it only reads its table and adds no rows to it.
     """
 
     kind: AgentKind
@@ -174,6 +183,12 @@ def run_game(
     Each step: the mover (or every voter) picks an action epsilon-greedily
     from its own table, the environment transitions, and Q-updates plus
     broadcasts are applied according to each seat's agent kind.
+
+    The loop's state is the encode_state key itself, a bytearray edited
+    in place, plus each seat's cell and territory count and the number
+    of forced-defer turns left. It plays by the rules that transition,
+    sovereign_transition, reward and is_invasion define on GameState;
+    the tests replay its traces through those functions.
     """
     p, hp, rc = cfg.players, cfg.hp, cfg.rewards
     sovereign = cfg.variant is Variant.SOVEREIGN
@@ -196,21 +211,37 @@ def run_game(
         for table, setup in zip(tables, setups)
     ]
     any_receiver = any(t is not None for t in recv_tables)
+    learns = [s.learn and s.kind is not AgentKind.RANDOM for s in setups]
+    broadcasts = [s.kind is AgentKind.HQLEARNER and any_receiver for s in setups]
+    vote_learns = [s.learn and s.kind is AgentKind.HQLEARNER for s in setups]
 
-    state = initial_state(cfg.size, cfg.players)
-    phase = VotePhase.open()
-    key = encode_state(state)
+    key = encode_state(initial_state(cfg.size, p))
+    k = bytearray(key)
+    invaded_at, move_at, _ = key_offsets(cfg.size, p)
+    board_at = BOARD_OFFSET
+    nbrs = neighbours(cfg.size)
+    pos = list(corner_cells(cfg.size, p))  # each seat's cell
+    terr = [0] * p  # territory cells per seat
+    terr0, occ0 = territory_cell(0), occupied_cell(0)
+    cycle = p + 1 if sovereign else p  # move values, the vote move included
+    forced = 0  # forced-defer turns left after a successful vote
+    bonus, penalty = rc.invasion_bonus, rc.invasion_penalty
 
     num_bins = cfg.total_steps // cfg.bin_size
     bins = [
-        MetricsBin(bin_start=k * cfg.bin_size, bin_size=cfg.bin_size, players=p)
-        for k in range(num_bins)
+        MetricsBin(bin_start=j * cfg.bin_size, bin_size=cfg.bin_size, players=p)
+        for j in range(num_bins)
     ]
     trace: list[MoveRecord | VoteRecord] | None = [] if keep_trace else None
     total_reward = 0
     rewards_per_player = [0] * p
     moves_per_player = [0] * p
     invasions_per_player = [0] * p
+
+    def legal_of(i: int) -> list[Action]:
+        """legal_actions for seat i, read off the key bytes."""
+        acts = [a for a, d in nbrs[pos[i]].items() if k[board_at + d] < occ0]
+        return acts or [Action.STAY]
 
     def choose(i: int, legal: list[Action], t: int) -> Action:
         setup = setups[i]
@@ -220,34 +251,40 @@ def run_game(
         eps = setup.fixed_eps
         if eps is None:
             eps = epsilon_at(t, hp)
-        return select_action(tables[i], key, legal, eps, rng)
+        return select_action(tables[i], key, legal, eps, rng, grow=setup.learn)
 
+    move = 0
+    legal = legal_of(0)  # the legal set of the seat to move
     for t in range(cfg.total_steps):
         b = bins[t // cfg.bin_size]
-        if sovereign and state.move == p:
-            ci = sum(state.invaded)
+        if move == p:  # the sovereign vote
+            ci = sum(k[invaded_at:move_at])
             ballots = tuple(
-                choose(i, legal_actions(state, i) + [Action.DEFER], t)
-                for i in range(p)
+                choose(i, legal_of(i) + [Action.DEFER], t) for i in range(p)
             )
-            voted, phase = sovereign_transition(state, ballots, phase)
-            success = voted.flag == 1
-            payouts = tuple(sovereign_reward(voted, ballots[i], rc) for i in range(p))
-            state = consume_flag(voted)
-            next_key = encode_state(state)
-            legal_next = sovereign_legal_actions(state, state.move, phase)
+            success = vote_succeeds(ballots, p)
+            if success:
+                payouts = (rc.vote_bonus,) * p
+            else:
+                payouts = tuple(
+                    rc.vote_penalty if a is Action.DEFER else 0 for a in ballots
+                )
+            # the sovereign flag is zeroed within the vote step, so only
+            # the move byte changes
+            move = k[move_at] = 0
+            next_key = bytes(k)
+            forced = p if success else 0
+            legal = [Action.DEFER] if success else legal_of(0)
             for i in range(p):
-                setup = setups[i]
                 # vote payouts cause a Q-update only for sovereign-aware
                 # learners: on success everyone updates as if it had
                 # deferred, on failure only the duped defer voters learn
                 # the penalty
-                if setup.learn and setup.kind is AgentKind.HQLEARNER:
-                    if success or ballots[i] == Action.DEFER:
-                        q_update(
-                            tables[i], key, Action.DEFER, payouts[i],
-                            next_key, legal_next, hp,
-                        )
+                if vote_learns[i] and (success or ballots[i] is Action.DEFER):
+                    q_update(
+                        tables[i], key, Action.DEFER, payouts[i],
+                        next_key, legal, hp,
+                    )
             paid = sum(payouts)
             total_reward += paid
             b.cs_sum += paid
@@ -264,35 +301,46 @@ def run_game(
             key = next_key
             continue
 
-        i = state.move
-        ci = sum(state.invaded) if not sovereign and i == 0 else -1
-        if sovereign:
-            legal = sovereign_legal_actions(state, i, phase)
-        else:
-            legal = legal_actions(state, i)
+        i = move
+        ci = sum(k[invaded_at:move_at]) if not sovereign and i == 0 else -1
         action = choose(i, legal, t)
-        r = reward(state, action, rc)
-        invasion = is_invasion(state, action)
-        pre_state = state
-        if sovereign:
-            state, phase = sovereign_transition(state, action, phase)
-        else:
-            state = transition(state, action)
-        next_key = encode_state(state)
+        # reward terms from the pre-move bytes: farming, then (unless a
+        # forced defer) the invaded penalty and the invasion bonus
+        r = terr[i]
+        invasion = False
+        if action is not Action.DEFER:
+            if k[invaded_at + i]:
+                r += penalty
+            if action is not Action.STAY:
+                loc = pos[i]
+                dest = nbrs[loc][action]
+                cell = k[board_at + dest]  # unowned or territory, never occupied
+                if cell != UNOWNED:
+                    owner = cell - terr0
+                    terr[owner] -= 1
+                    if owner != i:
+                        invasion = True
+                        r += bonus
+                        k[invaded_at + owner] = 1
+                k[board_at + dest] = occ0 + i
+                k[board_at + loc] = terr0 + i
+                terr[i] += 1
+                pos[i] = dest
+        k[invaded_at + i] = 0
+        move = k[move_at] = (i + 1) % cycle
+        next_key = bytes(k)
+        if forced:
+            forced -= 1
+        if move != p:
+            legal = [Action.DEFER] if forced else legal_of(move)
 
-        setup = setups[i]
-        if setup.learn and setup.kind is not AgentKind.RANDOM:
-            if not sovereign:
-                legal_next = legal_actions(state, state.move)
-            elif state.move == p:
-                # next turn is the vote; the max ranges over the updating
-                # agent's own ballot options there
-                legal_next = legal_actions(state, i) + [Action.DEFER]
-            else:
-                legal_next = sovereign_legal_actions(state, state.move, phase)
+        if learns[i]:
+            # before the vote the max ranges over the updating agent's
+            # own ballot options there
+            legal_next = legal if move != p else legal_of(i) + [Action.DEFER]
             delta = q_update(tables[i], key, action, r, next_key, legal_next, hp)
-            if setup.kind is AgentKind.HQLEARNER and any_receiver:
-                ola_broadcast(recv_tables, pre_state, action, delta, i, hp)
+            if broadcasts[i]:
+                ola_broadcast(recv_tables, key, action, delta, i, hp)
 
         total_reward += r
         rewards_per_player[i] += r

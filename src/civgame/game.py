@@ -36,6 +36,7 @@ UNOWNED = 0
 _TERR_BASE = 1  # territory of player i -> 1 + i
 _OCC_BASE = 5  # player i standing on a cell -> 5 + i
 MAX_PLAYERS = 4
+MAX_BOARD_SIZE = 255  # the state key stores the board size in one byte
 
 
 def territory_cell(player: int) -> int:
@@ -119,6 +120,11 @@ def corner_cells(size: int, players: int) -> tuple[int, ...]:
 def initial_state(size: int, players: int) -> GameState:
     if size < 2:
         raise ValueError(f"board size must be >= 2, got {size}")
+    if size > MAX_BOARD_SIZE:
+        raise ValueError(
+            f"board size must be <= {MAX_BOARD_SIZE}, since the state key "
+            f"stores it in one byte; got {size}"
+        )
     if not 1 <= players <= MAX_PLAYERS:
         raise ValueError(f"player count must be in 1..{MAX_PLAYERS}, got {players}")
     board = bytearray(size * size)
@@ -262,8 +268,52 @@ def count_states(size: int, players: int) -> int:
     return placements * (b * p * (b - 1)) * (2 * p) * p
 
 
+# Byte offset of the first board cell in an encode_state key.
+BOARD_OFFSET = 2
+
+
+def key_offsets(size: int, players: int) -> tuple[int, int, int]:
+    """Offsets of the first invaded byte, the move byte and the flag byte
+    in an encode_state key."""
+    invaded = BOARD_OFFSET + size * size
+    return invaded, invaded + players, invaded + players + 1
+
+
+def neighbours(size: int) -> tuple[dict[Action, int], ...]:
+    """Per cell, each on-board movement mapped to its destination cell.
+
+    Entries follow the canonical UP, DOWN, LEFT, RIGHT order, and left and
+    right stop at the row edges, as in legal_actions.
+    """
+    table = []
+    for loc in range(size * size):
+        col = loc % size
+        dests = {}
+        if loc >= size:
+            dests[Action.UP] = loc - size
+        if loc < size * (size - 1):
+            dests[Action.DOWN] = loc + size
+        if col != 0:
+            dests[Action.LEFT] = loc - 1
+        if col != size - 1:
+            dests[Action.RIGHT] = loc + 1
+        table.append(dests)
+    return tuple(table)
+
+
 def encode_state(state: GameState) -> bytes:
-    """Canonical injective byte encoding, stable across runs and platforms."""
+    """Canonical injective byte encoding, stable across runs and platforms.
+
+    For n = size * size cells and p players the key is n + p + 4 bytes:
+
+    - byte 0: size; byte 1: p;
+    - bytes BOARD_OFFSET (2) to 2 + n - 1: the board cell codes, row-major;
+    - bytes 2 + n to 2 + n + p - 1: the invaded flags (0 or 1) in seat order;
+    - byte 2 + n + p: the move; byte 2 + n + p + 1: flag + 1.
+
+    key_offsets gives the last three offsets. run_game steps this layout
+    in place and ola_broadcast builds its swapped keys from it.
+    """
     return (
         bytes((state.size, state.players))
         + state.board

@@ -147,6 +147,8 @@ class AnalysisConfig:
     def __post_init__(self) -> None:
         if self.players < 2:
             raise ValueError("matchups need at least 2 players")
+        if self.match_trials < 1:
+            raise ValueError(f"match_trials must be >= 1, got {self.match_trials}")
 
 
 def _frozen_setups(
@@ -155,7 +157,7 @@ def _frozen_setups(
     return [
         AgentSetup(
             kind=AgentKind.QLEARNER,
-            table=table.copy(),
+            table=table,
             learn=False,
             fixed_eps=eps,
         )
@@ -186,7 +188,10 @@ def play_matchup(
     seed: int,
     variant: Variant | None = None,
 ) -> tuple[list[float], list[int], list[int]]:
-    """Frozen-policy play; returns (per-seat payoff/step, invasions, moves)."""
+    """Frozen-policy play; returns (per-seat payoff/step, invasions, moves).
+
+    The tables are only read: a frozen seat adds no rows to its table.
+    """
     run_cfg = _match_config(cfg, steps, variant or cfg.match_variant)
     result = run_game(run_cfg, seed, setups=_frozen_setups(tables, eps_by_seat))
     payoffs = [total / steps for total in result.rewards_per_player]

@@ -100,6 +100,22 @@ def test_select_rejects_empty_legal():
         select_action(QTable(), b"s", [], 0.5, random.Random(0))
 
 
+def test_select_without_grow_reads_unseen_keys_as_zeros():
+    legal = [Action.UP, Action.DOWN, Action.LEFT]
+    grown, frozen = QTable(), QTable()
+    frozen.set(b"seen", Action.UP, 1.0)
+    rng_a, rng_b = random.Random(3), random.Random(3)
+    picks_a = [select_action(grown, b"unseen", legal, 0.2, rng_a) for _ in range(200)]
+    picks_b = [
+        select_action(frozen, b"unseen", legal, 0.2, rng_b, grow=False)
+        for _ in range(200)
+    ]
+    assert picks_a == picks_b  # same choices and the same random draws
+    assert rng_a.random() == rng_b.random()
+    assert len(grown) == 1 and list(frozen.rows) == [b"seen"]
+    assert select_action(frozen, b"seen", legal, 0.0, rng_b, grow=False) is Action.UP
+
+
 def test_select_accepts_game_state():
     s = initial_state(3, 2)
     q = QTable()
@@ -222,7 +238,7 @@ def test_broadcast_blends_mover_delta_verbatim():
     observer_key = encode_state(ola_state(s, 1, 0))
     before = tables[1].value(observer_key, Action.RIGHT)
     delta = 6.98
-    ola_broadcast(tables, s, Action.RIGHT, delta, 0, HP)
+    ola_broadcast(tables, encode_state(s), Action.RIGHT, delta, 0, HP)
     after = tables[1].value(observer_key, Action.RIGHT)
     assert after == pytest.approx((1 - HP.alpha) * before + delta, abs=1e-12)
 
@@ -232,7 +248,7 @@ def test_broadcast_write_counts():
     tables = [QTable() for i in range(4)]
     for t in tables:
         t.write_log = []
-    ola_broadcast(tables, s, Action.DOWN, 1.0, 2, HP)
+    ola_broadcast(tables, encode_state(s), Action.DOWN, 1.0, 2, HP)
     assert [len(t.write_log) for t in tables] == [1, 1, 0, 1]
 
 
@@ -242,7 +258,7 @@ def test_broadcast_skips_disabled_observers():
     for t in tables:
         if t is not None:
             t.write_log = []
-    ola_broadcast(tables, s, Action.DOWN, 1.0, 0, HP)
+    ola_broadcast(tables, encode_state(s), Action.DOWN, 1.0, 0, HP)
     assert len(tables[0].write_log) == 0  # mover untouched by broadcast
     assert len(tables[2].write_log) == 1
 

@@ -145,10 +145,20 @@ def test_simulate_invalid_bin_exits_2(tmp_path):
         "bin=0\n",
         "bin=-5\n",
         "players=5\n",
+        "total_steps=-2500\n",
+        "total_steps=0\n",
     ):
         cfg = write(tmp_path, "run.cfg", text)
         code = run_cli(["simulate", "--config", cfg, "--out", str(tmp_path)])
         assert code == 2, text
+    assert not (tmp_path / "learning_curve.csv").exists()
+
+
+def test_simulate_board_size_over_key_limit_exits_2(tmp_path, capsys):
+    cfg = write(tmp_path, "run.cfg", "board_size=300\ntotal_steps=10\nbin=10\n")
+    assert run_cli(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "board size" in err and "255" in err
 
 
 def test_simulate_unwritable_out_exits_3(tmp_path):
@@ -172,6 +182,16 @@ def test_analyze_classification_failure_exits_4(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 4
     assert "alpha=" in err
+
+
+def test_analyze_zero_match_trials_exits_2_before_training(tmp_path, monkeypatch):
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained despite an invalid config")
+
+    monkeypatch.setattr("civgame.cli.train_policy", no_training)
+    cfg = write(tmp_path, "an.cfg", "match_trials=0\n")
+    assert run_cli(["analyze", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert not (tmp_path / "matrix.csv").exists()
 
 
 # --- plot ----------------------------------------------------------------------

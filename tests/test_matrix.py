@@ -294,3 +294,24 @@ def test_frozen_matchup_runs_and_is_seeded():
     assert a1 == a2
     b1, _, _ = play_matchup(cfg, policy.tables, [0.01, 0.01], 600, 43)
     assert len(b1) == 2
+
+
+def test_play_matchup_leaves_input_tables_unchanged():
+    """Frozen play reads the trained tables without adding rows to them,
+    in the matchup variant and in the sovereign one."""
+    from civgame.agents import dump_qtable
+
+    cfg = AnalysisConfig(size=4, players=2)
+    trained = run_game(
+        RunConfig(
+            size=4, players=2, total_steps=2_000, bin_size=2_000, trials=1,
+            agent_kinds=(AgentKind.QLEARNER,) * 2, variant=Variant.BASE,
+        ),
+        6,
+        keep_tables=True,
+    )
+    tables = trained.tables
+    before = [(len(t), dump_qtable(t)) for t in tables]
+    for variant in (Variant.BASE, Variant.SOVEREIGN):
+        play_matchup(cfg, tables, [0.1, 0.1], 2_000, 8, variant=variant)
+    assert [(len(t), dump_qtable(t)) for t in tables] == before

@@ -6,6 +6,7 @@ from dataclasses import replace
 from civgame.agents import AgentKind, QTable, dump_qtable
 from civgame.experiment import (
     AgentSetup,
+    agent_rng,
     MoveRecord,
     RunConfig,
     Variant,
@@ -113,3 +114,142 @@ def test_base_variant_ci_sampling_counts_flags_each_cycle():
             expected += sum(state.invaded)
         state = transition(state, record.action)
     assert result.bins[0].invasions == expected
+
+
+def replay_against_oracle(cfg, seed, kinds):
+    """Replay a traced run through the public GameState functions.
+
+    Every record's key, legality, reward and invasion flag must be what
+    the GameState rules give, and every table write must be the one the
+    rules call for: the mover's Bellman update at the record's key, with
+    the max taken over the legal set the rules give at the next state;
+    one broadcast write per receiving observer at the "in their shoes"
+    key with the mover's delta; and the vote updates. Shadow copies of
+    the tables, rebuilt from the write logs, supply the values read.
+    Random seats' draws are replayed too, so the loop must offer them
+    the rules' legal set, in order.
+    """
+    from civgame.agents import ola_state
+    from civgame.game import encode_state, initial_state, is_invasion, legal_actions
+    from civgame.game import transition
+    from civgame.sovereign import (
+        VotePhase,
+        consume_flag,
+        sovereign_legal_actions,
+        sovereign_reward,
+        sovereign_transition,
+    )
+
+    tables = [QTable() if k is not AgentKind.RANDOM else None for k in kinds]
+    for t in tables:
+        if t is not None:
+            t.write_log = []
+    setups = [AgentSetup(kind=k, table=t) for k, t in zip(kinds, tables)]
+    result = run_game(cfg, seed, setups=setups, keep_trace=True)
+    p, rc, hp = cfg.players, cfg.rewards, cfg.hp
+    sovereign = cfg.variant is Variant.SOVEREIGN
+    hq = [k is AgentKind.HQLEARNER for k in kinds]
+    cursor = [0] * p
+    shadow = [{} for _ in range(p)]
+    rngs = [agent_rng(seed, i) for i in range(p)]
+
+    def check_choice(i, action, legal):
+        assert action in legal
+        if kinds[i] is AgentKind.RANDOM:
+            assert action == legal[rngs[i].randrange(len(legal))]
+
+    def value(i, key, action):
+        return shadow[i].get(key, {}).get(action, 0.0)
+
+    def check_write(i, key, action, delta=None):
+        """Consume seat i's next write; returns its delta."""
+        w_key, w_action, old, new, w_delta = tables[i].write_log[cursor[i]]
+        cursor[i] += 1
+        assert (w_key, w_action) == (key, action)
+        assert old == value(i, key, action)
+        if delta is not None:
+            assert w_delta == delta
+        assert new == (1 - hp.alpha) * old + w_delta
+        shadow[i].setdefault(key, {})[action] = new
+        return w_delta
+
+    def bellman(i, r, next_key, legal_next):
+        best = max(value(i, next_key, a) for a in legal_next)
+        return hp.alpha * (r + hp.gamma * best)
+
+    state, phase = initial_state(cfg.size, p), VotePhase.open()
+    for record in result.trace:
+        assert record.key == encode_state(state)
+        if isinstance(record, VoteRecord):
+            assert record.invaded_sample == sum(state.invaded)
+            for i, ballot in enumerate(record.ballots):
+                check_choice(i, ballot, sovereign_legal_actions(state, i, phase))
+            voted, phase = sovereign_transition(state, record.ballots, phase)
+            assert record.success == (voted.flag == 1)
+            state = consume_flag(voted)
+            next_key = encode_state(state)
+            legal_next = sovereign_legal_actions(state, 0, phase)
+            for i, ballot in enumerate(record.ballots):
+                payout = sovereign_reward(voted, ballot, rc)
+                assert record.rewards[i] == payout
+                if hq[i] and (record.success or ballot is Action.DEFER):
+                    delta = bellman(i, payout, next_key, legal_next)
+                    check_write(i, record.key, Action.DEFER, delta)
+            continue
+        mover = record.player
+        assert mover == state.move
+        legal = (
+            sovereign_legal_actions(state, mover, phase)
+            if sovereign else legal_actions(state, mover)
+        )
+        check_choice(mover, record.action, legal)
+        assert record.reward == reward(state, record.action, rc)
+        assert record.invasion == is_invasion(state, record.action)
+        pre_state = state
+        if sovereign:
+            state, phase = sovereign_transition(state, record.action, phase)
+            if state.move == p:  # the max ranges over the mover's own ballot
+                legal_next = legal_actions(state, mover) + [Action.DEFER]
+            else:
+                legal_next = sovereign_legal_actions(state, state.move, phase)
+        else:
+            state = transition(state, record.action)
+            legal_next = legal_actions(state, state.move)
+        if tables[mover] is None:
+            continue
+        delta = check_write(
+            mover, record.key, record.action,
+            bellman(mover, record.reward, encode_state(state), legal_next),
+        )
+        if hq[mover]:
+            for i in range(p):
+                if i != mover and hq[i]:
+                    o_key = encode_state(ola_state(pre_state, i, mover))
+                    check_write(i, o_key, record.action, delta)
+    for i, table in enumerate(tables):
+        if table is not None:
+            assert cursor[i] == len(table.write_log)  # no write unaccounted for
+    return result
+
+
+def test_loop_matches_gamestate_oracle():
+    H, Q, R = AgentKind.HQLEARNER, AgentKind.QLEARNER, AgentKind.RANDOM
+    runs = [
+        (Variant.SOVEREIGN, 4, (H, H, H, H)),
+        (Variant.SOVEREIGN, 4, (H, Q, R, H)),
+        (Variant.SOVEREIGN, 3, (H, H)),  # small enough for keys to recur
+        (Variant.BASE, 3, (H, Q)),
+        (Variant.BASE, 5, (H, Q)),
+        (Variant.BASE, 3, (H, H, R)),
+        (Variant.BASE, 5, (H, H, R)),
+    ]
+    for variant, size, kinds in runs:
+        cfg = hql_cfg(
+            size=size, players=len(kinds), agent_kinds=kinds,
+            total_steps=2_000, bin_size=2_000, variant=variant,
+        )
+        result = replay_against_oracle(cfg, 31, kinds)
+        assert sum(result.invasions_per_player) > 0, (variant, size, kinds)
+        if variant is Variant.SOVEREIGN:
+            votes = [r for r in result.trace if isinstance(r, VoteRecord)]
+            assert any(v.success for v in votes) and not all(v.success for v in votes)
