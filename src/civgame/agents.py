@@ -1,10 +1,11 @@
 """Tabular Q-learning, the random baseline, and update broadcasting.
 
-Each learner keeps its own lazily populated Q-table keyed by encoded
-states. A learner with broadcasting enabled shares the scalar increment
-of every update it makes; the other players blend that increment into
-their own tables at the position-swapped "in their shoes" state, so a
-lesson learned by one player is felt by all of them.
+Each learner keeps its own Q-table keyed by encoded states; a row exists
+only once a learning write has put a value in it. A learner with
+broadcasting enabled shares the scalar increment of every update it
+makes; the other players blend that increment into their own tables at
+the position-swapped "in their shoes" state, so a lesson learned by one
+player is felt by all of them.
 """
 
 from __future__ import annotations
@@ -53,12 +54,14 @@ def epsilon_at(t: int, hp: Hyperparams) -> float:
 
 
 class QTable:
-    """Map from encoded state to one value per action, lazily initialized.
+    """Map from encoded state to one value per action.
 
-    Fresh rows start at zero, so entries that were never reinforced stay
-    exact ties and the uniform tie-breaking in select_action keeps
-    unlearned choices stochastic. `write_log`, when set to a list, records
-    (key, action, old, new, delta) for every learning write.
+    A row exists only once `set` or `blend` has written to it; every read
+    of a key without a row sees all zeros and leaves the table as it is.
+    Unreinforced entries are therefore exact ties, and the uniform
+    tie-breaking in select_action keeps unlearned choices stochastic.
+    `write_log`, when set to a list, records (key, action, old, new,
+    delta) for every learning write.
     """
 
     def __init__(self) -> None:
@@ -66,25 +69,25 @@ class QTable:
         self.writes = 0
         self.write_log: list | None = None
 
-    def row(self, key: bytes) -> list[float]:
+    def _write_row(self, key: bytes) -> list[float]:
         row = self.rows.get(key)
         if row is None:
             row = self.rows[key] = [0.0] * NUM_ACTIONS
         return row
 
     def value(self, key: bytes, action: Action) -> float:
-        return self.row(key)[action]
+        return self.rows.get(key, _ZERO_ROW)[action]
 
     def set(self, key: bytes, action: Action, value: float) -> None:
-        self.row(key)[action] = value
+        self._write_row(key)[action] = value
 
     def best_value(self, key: bytes, legal: Sequence[Action]) -> float:
-        row = self.row(key)
+        row = self.rows.get(key, _ZERO_ROW)
         return max(row[a] for a in legal)
 
     def blend(self, key: bytes, action: Action, delta: float, alpha: float) -> None:
         """Core table write: Q <- (1 - alpha) * Q + delta."""
-        row = self.row(key)
+        row = self._write_row(key)
         old = row[action]
         new = (1.0 - alpha) * old + delta
         row[action] = new
@@ -102,22 +105,17 @@ def select_action(
     legal: Sequence[Action],
     eps: float,
     rng: random.Random,
-    *,
-    grow: bool = True,
 ) -> Action:
     """Epsilon-greedy over the legal set, uniform tie-breaking on exploit.
 
-    A learning seat reads through QTable.row, which adds a zero row for
-    an unseen key. With grow=False (a seat that does not learn) an unseen
-    key reads as zeros and the table is left as it is; the choice and the
-    random draws are the same either way.
+    Only reads the table: a key without a row reads as all zeros.
     """
     if not legal:
         raise ValueError("legal action set is empty")
     if rng.random() < eps:
         return legal[rng.randrange(len(legal))]
     key = state_or_key if isinstance(state_or_key, bytes) else encode_state(state_or_key)
-    row = q.row(key) if grow else q.rows.get(key, _ZERO_ROW)
+    row = q.rows.get(key, _ZERO_ROW)
     best = max(row[a] for a in legal)
     ties = [a for a in legal if row[a] == best]
     return ties[0] if len(ties) == 1 else ties[rng.randrange(len(ties))]

@@ -140,7 +140,7 @@ class AgentSetup:
 
     Every kind but random learns; hq learners also broadcast their updates
     and learn from vote payouts. A seat with `learn=False` plays frozen:
-    it only reads its table and adds no rows to it.
+    it makes no updates, so its table is left as it was.
     """
 
     kind: AgentKind
@@ -251,7 +251,7 @@ def run_game(
         eps = setup.fixed_eps
         if eps is None:
             eps = epsilon_at(t, hp)
-        return select_action(tables[i], key, legal, eps, rng, grow=setup.learn)
+        return select_action(tables[i], key, legal, eps, rng)
 
     move = 0
     legal = legal_of(0)  # the legal set of the seat to move
@@ -392,10 +392,6 @@ class TrialSummary:
                         (statistics.median(values), min(values), max(values))
                     )
                 self.aggregates[name] = per_bin
-
-    @property
-    def bin_starts(self) -> list[int]:
-        return [b.bin_start for b in self.trials[0]]
 
 
 def trial_seed(master_seed: int, trial: int) -> int:

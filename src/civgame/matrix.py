@@ -165,14 +165,19 @@ def _frozen_setups(
     ]
 
 
-def _match_config(cfg: AnalysisConfig, steps: int, variant: Variant) -> RunConfig:
+def _match_config(
+    cfg: AnalysisConfig,
+    steps: int,
+    variant: Variant,
+    kind: AgentKind = AgentKind.QLEARNER,
+) -> RunConfig:
     return RunConfig(
         size=cfg.size,
         players=cfg.players,
         total_steps=steps,
         bin_size=steps,
         trials=1,
-        agent_kinds=(AgentKind.QLEARNER,) * cfg.players,
+        agent_kinds=(kind,) * cfg.players,
         rewards=cfg.rewards,
         hp=cfg.hp,
         seed=cfg.seed,
@@ -190,7 +195,7 @@ def play_matchup(
 ) -> tuple[list[float], list[int], list[int]]:
     """Frozen-policy play; returns (per-seat payoff/step, invasions, moves).
 
-    The tables are only read: a frozen seat adds no rows to its table.
+    The tables are only read, so they come back unchanged.
     """
     run_cfg = _match_config(cfg, steps, variant or cfg.match_variant)
     result = run_game(run_cfg, seed, setups=_frozen_setups(tables, eps_by_seat))
@@ -219,20 +224,10 @@ def train_policy(
             cfg.train_steps if kind is AgentKind.HQLEARNER
             else cfg.defect_train_steps
         )
-    run_cfg = RunConfig(
-        size=cfg.size,
-        players=cfg.players,
-        total_steps=steps,
-        bin_size=steps,
-        trials=1,
-        agent_kinds=(kind,) * cfg.players,
-        rewards=cfg.rewards,
-        hp=cfg.hp,
-        seed=cfg.seed,
-        variant=variant,
-    )
     result = run_game(
-        run_cfg, stream_seed(cfg.seed, f"train:{kind.value}"), keep_tables=True
+        _match_config(cfg, steps, variant, kind),
+        stream_seed(cfg.seed, f"train:{kind.value}"),
+        keep_tables=True,
     )
     tables = [t for t in result.tables if t is not None]
     final_eps = result.final_eps

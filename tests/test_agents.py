@@ -100,20 +100,30 @@ def test_select_rejects_empty_legal():
         select_action(QTable(), b"s", [], 0.5, random.Random(0))
 
 
-def test_select_without_grow_reads_unseen_keys_as_zeros():
+def test_reads_never_add_rows():
+    """select_action, best_value and value read a key without a row as
+    all zeros: the same choices and random draws as an explicit zero
+    row, and the table stays empty. Only set and blend add a row."""
     legal = [Action.UP, Action.DOWN, Action.LEFT]
-    grown, frozen = QTable(), QTable()
-    frozen.set(b"seen", Action.UP, 1.0)
-    rng_a, rng_b = random.Random(3), random.Random(3)
-    picks_a = [select_action(grown, b"unseen", legal, 0.2, rng_a) for _ in range(200)]
-    picks_b = [
-        select_action(frozen, b"unseen", legal, 0.2, rng_b, grow=False)
-        for _ in range(200)
-    ]
-    assert picks_a == picks_b  # same choices and the same random draws
-    assert rng_a.random() == rng_b.random()
-    assert len(grown) == 1 and list(frozen.rows) == [b"seen"]
-    assert select_action(frozen, b"seen", legal, 0.0, rng_b, grow=False) is Action.UP
+    for eps in (0.0, 1.0):
+        empty, zeros = QTable(), QTable()
+        zeros.rows[b"unseen"] = [0.0] * 6
+        rng_a, rng_b = random.Random(3), random.Random(3)
+        picks_a = [select_action(empty, b"unseen", legal, eps, rng_a) for _ in range(200)]
+        picks_b = [select_action(zeros, b"unseen", legal, eps, rng_b) for _ in range(200)]
+        assert picks_a == picks_b  # same choices and the same random draws
+        assert rng_a.random() == rng_b.random()
+        assert len(set(picks_a)) == 3  # ties are broken uniformly
+        assert empty.rows == {}
+    q = QTable()
+    assert q.best_value(b"unseen", legal) == 0.0
+    assert [q.value(b"unseen", a) for a in Action] == [0.0] * 6
+    assert q.rows == {}
+    q.set(b"s", Action.UP, 1.0)
+    assert list(q.rows) == [b"s"]
+    q.blend(b"t", Action.DOWN, 1.0, 0.5)
+    assert list(q.rows) == [b"s", b"t"]
+    assert select_action(q, b"s", legal, 0.0, random.Random(0)) is Action.UP
 
 
 def test_select_accepts_game_state():
@@ -195,9 +205,12 @@ def test_bellman_identity_property(old, r, best, alpha, gamma):
 
 def test_lazy_rows_default_to_exact_ties():
     q = QTable()
-    row = q.row(b"unseen")
-    assert row == [0.0] * 6
-    assert q.row(b"unseen") is row  # one row per key, not fresh objects
+    assert [q.value(b"unseen", a) for a in Action] == [0.0] * 6
+    q.set(b"k", Action.UP, 1.0)
+    row = q.rows[b"k"]
+    assert row == [1.0, 0.0, 0.0, 0.0, 0.0, 0.0]  # unwritten entries tie at 0
+    q.blend(b"k", Action.DOWN, 2.0, 0.5)
+    assert q.rows[b"k"] is row  # one row per key, not fresh objects
 
 
 # --- alternate-reality swap ----------------------------------------------------

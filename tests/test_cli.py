@@ -254,12 +254,14 @@ def test_plot_unknown_schema_exits_2(tmp_path):
 
 
 def test_plot_malformed_rows_exit_2(tmp_path):
-    path = write(
-        tmp_path,
-        "bad.csv",
-        "trial,bin_start,cs_sum,cs_avg,invasions,successful_defers\n0,x,1,1,1,1\n",
-    )
-    assert run_cli(["plot", path, "--out", str(tmp_path / "x.svg")]) == 2
+    header = "trial,bin_start,cs_sum,cs_avg,invasions,successful_defers\n"
+    for name, text in [
+        ("bad.csv", header + "0,x,1,1,1,1\n"),
+        # a field past the csv module's field size limit (131072)
+        ("huge.csv", header + "0," + "9" * 200_000 + ",1,1,1,1\n"),
+    ]:
+        path = write(tmp_path, name, text)
+        assert run_cli(["plot", path, "--out", str(tmp_path / "x.svg")]) == 2
 
 
 def test_render_csv_dispatch_errors(tmp_path):

@@ -56,6 +56,24 @@ def test_sovereign_write_pattern_by_turn_kind():
     assert sum(t.writes for t in tables) == expected
 
 
+def test_tables_hold_only_written_rows():
+    """Every row of every table was put there by a learning write: the
+    hq seats of the sovereign game and the plain Q seats of the base
+    game read many keys they never write, and those reads add nothing."""
+    base = hql_cfg(
+        variant=Variant.BASE, agent_kinds=(AgentKind.QLEARNER,) * 4
+    )
+    for cfg in (hql_cfg(), base):
+        tables = [QTable() for _ in range(cfg.players)]
+        for t in tables:
+            t.write_log = []
+        setups = [AgentSetup(kind, table=t) for kind, t in zip(cfg.agent_kinds, tables)]
+        run_game(cfg, 19, setups=setups)
+        for t in tables:
+            assert t.write_log
+            assert set(t.rows) == {key for key, *_ in t.write_log}
+
+
 def test_identical_seed_reproduces_final_tables_bitwise():
     cfg = hql_cfg(total_steps=600, bin_size=600)
     a = run_game(cfg, 3, keep_tables=True)
