@@ -129,7 +129,7 @@ def _read_rows(path: str) -> tuple[list[str], list[dict]]:
             rows = list(reader)
     except OSError as exc:
         raise ChartError(f"cannot read {path}: {exc}")
-    except csv.Error as exc:
+    except (csv.Error, UnicodeDecodeError) as exc:
         raise ChartError(f"{path} is not a readable CSV: {exc}")
     if not rows:
         raise ChartError(f"{path} has no data rows")

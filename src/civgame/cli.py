@@ -52,7 +52,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
+def cmd_simulate(args: argparse.Namespace) -> None:
     resolved = load_config(args.config, args.seed)
     cfg = resolved.run_config()
     summary = run_trials(cfg)
@@ -63,24 +63,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     with open(os.path.join(out, "run_manifest.txt"), "w", encoding="utf-8") as f:
         f.write(resolved.manifest())
     print(f"wrote learning_curve.csv, actions.csv, run_manifest.txt to {out}")
-    return EXIT_OK
 
 
-def cmd_analyze(args: argparse.Namespace) -> int:
+def cmd_analyze(args: argparse.Namespace) -> None:
     resolved = load_config(args.config, args.seed)
     cfg = resolved.analysis_config()
     coop = train_policy(cfg, AgentKind.HQLEARNER)
     defect = train_policy(cfg, AgentKind.QLEARNER)
-    try:
-        result = run_payoff_trials(cfg, coop, defect)
-    except PolicyClassificationError:
-        print(
-            f"policy classification failed: cooperative alpha={coop.alpha:.3f}, "
-            f"defecting alpha={defect.alpha:.3f} "
-            f"(thresholds {cfg.thresholds.alpha_c}/{cfg.thresholds.alpha_d})",
-            file=sys.stderr,
-        )
-        return EXIT_CLASSIFICATION
+    result = run_payoff_trials(cfg, coop, defect)
     out = args.out
     os.makedirs(out, exist_ok=True)
     write_matrix_csv(result, os.path.join(out, "matrix.csv"))
@@ -88,14 +78,13 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     for m in result.per_trial:
         tally[m.classification.value] = tally.get(m.classification.value, 0) + 1
     n = len(result.per_trial)
-    print(f"alpha: cooperative={result.coop_alpha:.3f} defecting={result.defect_alpha:.3f}")
+    print(f"alpha: cooperative={coop.alpha:.3f} defecting={defect.alpha:.3f}")
     for name in sorted(tally):
         print(f"{name}: {tally[name]}/{n}")
     print(f"stag_hunt_fraction={result.stag_hunt_fraction}")
-    return EXIT_OK
 
 
-def cmd_plot(args: argparse.Namespace) -> int:
+def cmd_plot(args: argparse.Namespace) -> None:
     svg = render_csv(args.csv)
     out_dir = os.path.dirname(args.out)
     if out_dir:
@@ -103,17 +92,20 @@ def cmd_plot(args: argparse.Namespace) -> int:
     with open(args.out, "w", encoding="utf-8") as f:
         f.write(svg)
     print(f"wrote {args.out}")
-    return EXIT_OK
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "simulate":
-            return cmd_simulate(args)
-        if args.command == "analyze":
-            return cmd_analyze(args)
-        return cmd_plot(args)
+            cmd_simulate(args)
+        elif args.command == "analyze":
+            cmd_analyze(args)
+        else:
+            cmd_plot(args)
+    except PolicyClassificationError as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_CLASSIFICATION
     except (ConfigError, ChartError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -123,6 +115,7 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -152,13 +152,17 @@ class AgentSetup:
 @dataclass
 class RunResult:
     bins: list[MetricsBin]
-    total_reward: int
     rewards_per_player: list[int]
     moves_per_player: list[int]
     invasions_per_player: list[int]
     final_eps: float
     tables: list[QTable | None] | None = None
     trace: list[MoveRecord | VoteRecord] | None = None
+
+    @property
+    def total_reward(self) -> int:
+        """Everything the environment paid out, summed over the seats."""
+        return sum(self.rewards_per_player)
 
 
 def stream_seed(trial_seed: int, label: str) -> int:
@@ -233,7 +237,6 @@ def run_game(
         for j in range(num_bins)
     ]
     trace: list[MoveRecord | VoteRecord] | None = [] if keep_trace else None
-    total_reward = 0
     rewards_per_player = [0] * p
     moves_per_player = [0] * p
     invasions_per_player = [0] * p
@@ -285,9 +288,7 @@ def run_game(
                         tables[i], key, Action.DEFER, payouts[i],
                         next_key, legal, hp,
                     )
-            paid = sum(payouts)
-            total_reward += paid
-            b.cs_sum += paid
+            b.cs_sum += sum(payouts)
             b.invasions += ci
             b.successful_defers += success
             for i in range(p):
@@ -342,7 +343,6 @@ def run_game(
             if broadcasts[i]:
                 ola_broadcast(recv_tables, key, action, delta, i, hp)
 
-        total_reward += r
         rewards_per_player[i] += r
         moves_per_player[i] += 1
         invasions_per_player[i] += invasion
@@ -356,7 +356,6 @@ def run_game(
 
     return RunResult(
         bins=bins,
-        total_reward=total_reward,
         rewards_per_player=rewards_per_player,
         moves_per_player=moves_per_player,
         invasions_per_player=invasions_per_player,
@@ -407,7 +406,7 @@ def run_trials(cfg: RunConfig) -> TrialSummary:
     """Run cfg.trials seeded trials, in processes when cfg.workers > 1."""
     jobs = [(cfg, k) for k in range(cfg.trials)]
     if cfg.workers > 1 and cfg.trials > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(cfg.workers, cfg.trials)) as pool:
             series = list(pool.map(_run_trial_bins, jobs))
     else:
         series = [_run_trial_bins(job) for job in jobs]

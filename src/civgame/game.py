@@ -78,9 +78,6 @@ class GameState:
     def position(self, player: int) -> int:
         return self.board.index(_OCC_BASE + player)
 
-    def territory_count(self, player: int) -> int:
-        return self.board.count(_TERR_BASE + player)
-
 
 @dataclass(frozen=True)
 class RewardConfig:

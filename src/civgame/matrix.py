@@ -28,6 +28,18 @@ class InsufficientDataError(ValueError):
 class PolicyClassificationError(ValueError):
     """A matchup input policy does not fall in the required class."""
 
+    def __init__(
+        self, coop_alpha: float, defect_alpha: float, thresholds: Thresholds
+    ):
+        self.coop_alpha = coop_alpha
+        self.defect_alpha = defect_alpha
+        self.thresholds = thresholds
+        super().__init__(
+            f"policy classification failed: cooperative alpha={coop_alpha:.3f}, "
+            f"defecting alpha={defect_alpha:.3f} "
+            f"(thresholds {thresholds.alpha_c}/{thresholds.alpha_d})"
+        )
+
 
 class PolicyClass(Enum):
     COOPERATIVE = "cooperative"
@@ -79,9 +91,6 @@ class PayoffMatrix:
     T: float
     fear: float
     greed: float
-    coop_preferred: bool  # R > P
-    exploit_resistant: bool  # R > S
-    efficient: bool  # 2R > T + S
     classification: DilemmaClass
 
     @classmethod
@@ -103,9 +112,6 @@ class PayoffMatrix:
             classification = DilemmaClass.NOT_SOCIAL_DILEMMA
         return cls(
             R=R, P=P, S=S, T=T, fear=fear, greed=greed,
-            coop_preferred=coop_preferred,
-            exploit_resistant=exploit_resistant,
-            efficient=efficient,
             classification=classification,
         )
 
@@ -114,7 +120,6 @@ class PayoffMatrix:
 class TrainedPolicy:
     """Seat-bound frozen tables plus the behavior stats that classify them."""
 
-    kind: AgentKind
     tables: list[QTable]
     final_eps: float
     alpha: float
@@ -147,8 +152,13 @@ class AnalysisConfig:
     def __post_init__(self) -> None:
         if self.players < 2:
             raise ValueError("matchups need at least 2 players")
-        if self.match_trials < 1:
-            raise ValueError(f"match_trials must be >= 1, got {self.match_trials}")
+        for name in (
+            "train_steps", "defect_train_steps", "match_steps",
+            "match_trials", "eval_steps",
+        ):
+            value = getattr(self, name)
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
 
 
 def _frozen_setups(
@@ -203,27 +213,15 @@ def play_matchup(
     return payoffs, result.invasions_per_player, result.moves_per_player
 
 
-def native_variant(kind: AgentKind) -> Variant:
-    """The environment a kind is trained and behavior-classified in: the
-    sovereign game for hq learners (their mechanisms live in the vote),
-    the plain base game for everything else."""
-    return Variant.SOVEREIGN if kind is AgentKind.HQLEARNER else Variant.BASE
-
-
-def train_policy(
-    cfg: AnalysisConfig,
-    kind: AgentKind,
-    steps: int | None = None,
-    variant: Variant | None = None,
-) -> TrainedPolicy:
+def train_policy(cfg: AnalysisConfig, kind: AgentKind) -> TrainedPolicy:
     """Self-play training, then a frozen self-play evaluation of the
     invasion rate in the same (native) environment."""
-    variant = variant or native_variant(kind)
-    if steps is None:
-        steps = (
-            cfg.train_steps if kind is AgentKind.HQLEARNER
-            else cfg.defect_train_steps
-        )
+    # hq learners train and are classified in the sovereign game, since
+    # their mechanisms live in the vote; every other kind in the base game
+    if kind is AgentKind.HQLEARNER:
+        variant, steps = Variant.SOVEREIGN, cfg.train_steps
+    else:
+        variant, steps = Variant.BASE, cfg.defect_train_steps
     result = run_game(
         _match_config(cfg, steps, variant, kind),
         stream_seed(cfg.seed, f"train:{kind.value}"),
@@ -240,7 +238,7 @@ def train_policy(
         variant=variant,
     )
     alpha = alpha_from_counts(sum(invasions), sum(moves))
-    return TrainedPolicy(kind=kind, tables=tables, final_eps=final_eps, alpha=alpha)
+    return TrainedPolicy(tables=tables, final_eps=final_eps, alpha=alpha)
 
 
 MatchupFn = Callable[[Sequence[QTable], Sequence[float], int], list[float]]
@@ -248,8 +246,6 @@ MatchupFn = Callable[[Sequence[QTable], Sequence[float], int], list[float]]
 
 @dataclass
 class AnalysisResult:
-    coop_alpha: float
-    defect_alpha: float
     per_trial: list[PayoffMatrix]
     aggregate: PayoffMatrix
     stag_hunt_fraction: float
@@ -266,16 +262,11 @@ def run_payoff_trials(
     Tables are seat-bound (a state encodes who starts in which corner),
     so each table only ever plays in the seat it was trained in.
     """
-    coop_class = classify_policy(coop.alpha, cfg.thresholds)
-    defect_class = classify_policy(defect.alpha, cfg.thresholds)
-    if coop_class is not PolicyClass.COOPERATIVE:
-        raise PolicyClassificationError(
-            f"cooperative input has alpha={coop.alpha:.3f} ({coop_class.value})"
-        )
-    if defect_class is not PolicyClass.DEFECTING:
-        raise PolicyClassificationError(
-            f"defecting input has alpha={defect.alpha:.3f} ({defect_class.value})"
-        )
+    if (
+        classify_policy(coop.alpha, cfg.thresholds) is not PolicyClass.COOPERATIVE
+        or classify_policy(defect.alpha, cfg.thresholds) is not PolicyClass.DEFECTING
+    ):
+        raise PolicyClassificationError(coop.alpha, defect.alpha, cfg.thresholds)
 
     if matchup_fn is None:
         def matchup_fn(tables, eps_by_seat, seed):
@@ -320,19 +311,10 @@ def run_payoff_trials(
         m.classification is DilemmaClass.STAG_HUNT for m in per_trial
     ) / n
     return AnalysisResult(
-        coop_alpha=coop.alpha,
-        defect_alpha=defect.alpha,
         per_trial=per_trial,
         aggregate=aggregate,
         stag_hunt_fraction=stag,
     )
-
-
-def run_analysis(cfg: AnalysisConfig) -> AnalysisResult:
-    """Full pipeline: train both policies, classify, and run the matchups."""
-    coop = train_policy(cfg, AgentKind.HQLEARNER)
-    defect = train_policy(cfg, AgentKind.QLEARNER)
-    return run_payoff_trials(cfg, coop, defect)
 
 
 MATRIX_HEADER = ["trial", "R", "P", "S", "T", "fear", "greed", "classification"]

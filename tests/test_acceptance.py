@@ -4,11 +4,13 @@ Criteria 8 and 9 run the full published experiment scale (250k-step
 training, 100k-step matchups) and dominate the suite's runtime.
 """
 
+import csv
 import random
 import statistics
 import time
 from collections import deque
 from contextlib import contextmanager
+from types import SimpleNamespace
 
 import pytest
 
@@ -45,12 +47,7 @@ from civgame.game import (
     territory_cell,
     transition,
 )
-from civgame.matrix import (
-    AnalysisConfig,
-    DilemmaClass,
-    PayoffMatrix,
-    run_analysis,
-)
+from civgame.matrix import DilemmaClass, PayoffMatrix
 from civgame.sovereign import sovereign_transition, VotePhase
 
 
@@ -337,7 +334,7 @@ def test_criterion_8_learning_reproduction():
 
 
 @pytest.mark.slow
-def test_criterion_9_matrix_analysis_reproduction():
+def test_criterion_9_matrix_analysis_reproduction(tmp_path):
     """Partially red by design: two clauses fail.
 
     The first assert to fail is fear > 0 in >= 80% of trials: at seed 1
@@ -354,7 +351,17 @@ def test_criterion_9_matrix_analysis_reproduction():
     specified.
     """
     with criterion(9, "matrix game: fear-dominant, mostly Stag Hunt, small incentives"):
-        result = run_analysis(AnalysisConfig(seed=1))
+        assert main(["analyze", "--seed", "1", "--out", str(tmp_path)]) == 0
+        with open(tmp_path / "matrix.csv", newline="", encoding="utf-8") as f:
+            *trial_rows, aggregate = csv.DictReader(f)
+        result = SimpleNamespace(
+            per_trial=[
+                SimpleNamespace(fear=float(row["fear"]), greed=float(row["greed"]))
+                for row in trial_rows
+            ],
+            # the aggregate row carries the Stag Hunt fraction in its last column
+            stag_hunt_fraction=float(aggregate["classification"]),
+        )
         trials = result.per_trial
         assert len(trials) == 15
 

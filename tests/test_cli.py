@@ -1,15 +1,20 @@
 """Config parsing, CLI commands, exit codes, file emission, SVG output."""
 
+import os
+import re
+import tempfile
 import xml.etree.ElementTree as ET
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from civgame.agents import AgentKind
+from civgame.agents import AgentKind, QTable
 from civgame.charts import ChartError, render_csv
 from civgame.cli import main
-from civgame.config import ConfigError, load_config, parse_config
+from civgame.config import SCHEMA, ConfigError, load_config, parse_config
 from civgame.experiment import RunConfig, Variant
-from civgame.matrix import AnalysisConfig
+from civgame.matrix import AnalysisConfig, TrainedPolicy
 
 
 SMALL = """
@@ -181,16 +186,56 @@ def test_analyze_classification_failure_exits_4(tmp_path, capsys):
     code = run_cli(["analyze", "--config", cfg, "--out", str(tmp_path)])
     err = capsys.readouterr().err
     assert code == 4
-    assert "alpha=" in err
+    assert re.fullmatch(
+        r"policy classification failed: cooperative alpha=\d+\.\d{3}, "
+        r"defecting alpha=\d+\.\d{3} \(thresholds 1e-06/2e-06\)\n",
+        err,
+    ), err
+    assert not (tmp_path / "matrix.csv").exists()
 
 
-def test_analyze_zero_match_trials_exits_2_before_training(tmp_path, monkeypatch):
+def test_analyze_prints_alphas_tally_and_stag_fraction(
+    tmp_path, monkeypatch, capsys
+):
+    alphas = {AgentKind.HQLEARNER: 1.0, AgentKind.QLEARNER: 30.0}
+
+    def untrained(cfg, kind):
+        return TrainedPolicy([QTable(), QTable()], final_eps=0.5, alpha=alphas[kind])
+
+    monkeypatch.setattr("civgame.cli.train_policy", untrained)
+    cfg = write(
+        tmp_path, "an.cfg", "match_steps=200\nmatch_trials=3\nseed=3\n"
+    )
+    out = tmp_path / "out"
+    assert run_cli(["analyze", "--config", cfg, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == (
+        "alpha: cooperative=1.000 defecting=30.000\n"
+        "NotSocialDilemma: 1/3\n"
+        "OtherDilemma: 1/3\n"
+        "StagHunt: 1/3\n"
+        "stag_hunt_fraction=0.3333333333333333\n"
+    )
+    assert (out / "matrix.csv").read_text().splitlines()[-1].endswith(
+        ",0.3333333333333333"
+    )
+
+
+def test_analyze_zero_match_trials_exits_2_before_training(
+    tmp_path, monkeypatch, capsys
+):
     def no_training(*args, **kwargs):
         raise AssertionError("trained despite an invalid config")
 
     monkeypatch.setattr("civgame.cli.train_policy", no_training)
-    cfg = write(tmp_path, "an.cfg", "match_trials=0\n")
-    assert run_cli(["analyze", "--config", cfg, "--out", str(tmp_path)]) == 2
+    for key in (
+        "match_trials", "train_steps", "defect_train_steps",
+        "eval_steps", "match_steps",
+    ):
+        for value in (0, -3):
+            cfg = write(tmp_path, "an.cfg", f"{key}={value}\n")
+            code = run_cli(["analyze", "--config", cfg, "--out", str(tmp_path)])
+            assert code == 2, (key, value)
+            assert f"{key} must be >= 1" in capsys.readouterr().err
     assert not (tmp_path / "matrix.csv").exists()
 
 
@@ -253,17 +298,124 @@ def test_plot_unknown_schema_exits_2(tmp_path):
     assert run_cli(["plot", path, "--out", str(tmp_path / "x.svg")]) == 2
 
 
-def test_plot_malformed_rows_exit_2(tmp_path):
+def test_plot_malformed_rows_exit_2(tmp_path, capsys):
     header = "trial,bin_start,cs_sum,cs_avg,invasions,successful_defers\n"
     for name, text in [
         ("bad.csv", header + "0,x,1,1,1,1\n"),
         # a field past the csv module's field size limit (131072)
         ("huge.csv", header + "0," + "9" * 200_000 + ",1,1,1,1\n"),
+        # UTF-16 with a byte-order mark: not UTF-8
+        ("utf16.csv", (header + "0,0,1,1,1,1\n").encode("utf-16")),
     ]:
-        path = write(tmp_path, name, text)
-        assert run_cli(["plot", path, "--out", str(tmp_path / "x.svg")]) == 2
+        path = tmp_path / name
+        if isinstance(text, bytes):
+            path.write_bytes(text)
+        else:
+            path.write_text(text, encoding="utf-8")
+        assert run_cli(["plot", str(path), "--out", str(tmp_path / "x.svg")]) == 2
+        err = capsys.readouterr().err
+        assert "invalid configuration" not in err
+        if isinstance(text, bytes):
+            assert str(path) in err
 
 
 def test_render_csv_dispatch_errors(tmp_path):
     with pytest.raises(ChartError):
         render_csv(str(tmp_path / "missing.csv"))
+
+
+# --- exit-code contract -----------------------------------------------------------
+
+# Keys whose size sets the work or the process count of a run; every
+# example sets each of them, so none falls back to a full-scale default.
+_STEP_KEYS = (
+    "total_steps", "bin", "train_steps", "defect_train_steps",
+    "match_steps", "eval_steps",
+)
+_BOUNDS = {
+    "workers": 2, "trials": 2, "board_size": 6, "match_trials": 2,
+    **dict.fromkeys(_STEP_KEYS, 400),
+}
+# Values each key's parser and range checks accept (the steps and bin
+# need not divide each other); everything else comes in as a fault.
+_GOOD = {
+    **dict.fromkeys(_STEP_KEYS, st.sampled_from([50, 100, 200, 400])),
+    "workers": st.integers(1, 2),
+    "trials": st.integers(1, 2),
+    "match_trials": st.integers(1, 2),
+    "board_size": st.integers(2, 6),
+    "players": st.integers(1, 4),
+    "match_players": st.integers(2, 4),
+    "seed": st.integers(0, 1000),
+    "invasion_bonus": st.integers(0, 30),
+    "invasion_penalty": st.integers(-30, -1),
+    "vote_bonus": st.integers(-30, 30),
+    "vote_penalty": st.integers(-30, 30),
+    **dict.fromkeys(["alpha", "gamma", "eps0", "eps_decay"], st.floats(0, 1)),
+    **dict.fromkeys(["alpha_c", "alpha_d"], st.floats(0, 100)),
+    **dict.fromkeys(["variant", "match_variant"], st.sampled_from(list(Variant))),
+    **{key: st.sampled_from(list(AgentKind)) for key in SCHEMA if key.startswith("agent")},
+}
+# one line of a config file: no line breaks and no surrogates
+_LINE_TEXT = st.text(
+    st.characters(blacklist_categories=("Cs",), blacklist_characters="\r\n"),
+    max_size=12,
+)
+
+
+def _setting(text: str) -> str:
+    """The key or value part that parse_config reads from a line's text."""
+    return text.split("#", 1)[0].strip()
+
+
+def _not_int(text: str) -> bool:
+    try:
+        int(_setting(text))
+    except ValueError:
+        return True
+    return False
+
+
+def _text(value) -> str:
+    return value.value if isinstance(value, (Variant, AgentKind)) else repr(value)
+
+
+def _fault(key):
+    """A line that sets key to any value text, but never past its bound."""
+    if key in _BOUNDS:
+        # junk that parses as an int would escape the bound
+        value = st.integers(-2, _BOUNDS[key]).map(str) | _LINE_TEXT.filter(_not_int)
+    else:
+        value = st.integers(-50, 50).map(str) | st.floats().map(repr) | _LINE_TEXT
+    return value.map(lambda v: f"{key}={v}")
+
+
+_CONFIG_LINES = st.tuples(
+    st.fixed_dictionaries(
+        {key: _GOOD[key] for key in _BOUNDS},
+        optional={key: _GOOD[key] for key in SCHEMA if key not in _BOUNDS},
+    ),
+    st.lists(
+        st.sampled_from(sorted(SCHEMA)).flatmap(_fault)
+        # junk lines never set a known key
+        | _LINE_TEXT.filter(
+            lambda line: _setting(line).partition("=")[0].strip() not in SCHEMA
+        ),
+        max_size=2,
+    ),
+).flatmap(
+    lambda parts: st.permutations(
+        [f"{key}={_text(value)}" for key, value in parts[0].items()] + parts[1]
+    )
+)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(command=st.sampled_from(["simulate", "analyze"]), lines=_CONFIG_LINES)
+def test_exit_codes_hold_for_any_config_text(command, lines):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = os.path.join(tmp, "run.cfg")
+        with open(cfg, "w", encoding="utf-8") as f:
+            f.write("\n".join(lines) + "\n")
+        out = os.path.join(tmp, "out")
+        assert main([command, "--config", cfg, "--out", out]) in (0, 2, 3, 4)

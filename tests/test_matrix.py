@@ -193,13 +193,8 @@ def test_long_term_payoff_counts_votes_and_moves():
 # --- matchup plumbing -----------------------------------------------------------
 
 
-def make_policy(kind_alpha, alpha):
-    return TrainedPolicy(
-        kind=kind_alpha,
-        tables=[QTable(), QTable()],
-        final_eps=0.0,
-        alpha=alpha,
-    )
+def make_policy(alpha):
+    return TrainedPolicy(tables=[QTable(), QTable()], final_eps=0.0, alpha=alpha)
 
 
 def stub_matchup(payoffs_by_call):
@@ -212,8 +207,8 @@ def stub_matchup(payoffs_by_call):
 
 
 def test_payoff_matrix_reproduces_stub_values():
-    coop = make_policy(AgentKind.HQLEARNER, alpha=1.0)
-    defect = make_policy(AgentKind.QLEARNER, alpha=30.0)
+    coop = make_policy(alpha=1.0)
+    defect = make_policy(alpha=30.0)
     cfg = AnalysisConfig(match_trials=1, seed=5)
     # calls per trial: cc, dd, cd, dc
     fn = stub_matchup([[4.0, 4.0], [1.0, 1.0], [0.0, 3.0], [3.0, 0.0]])
@@ -223,8 +218,8 @@ def test_payoff_matrix_reproduces_stub_values():
 
 
 def test_payoff_matrix_averages_mixed_seatings():
-    coop = make_policy(AgentKind.HQLEARNER, alpha=0.0)
-    defect = make_policy(AgentKind.QLEARNER, alpha=99.0)
+    coop = make_policy(alpha=0.0)
+    defect = make_policy(alpha=99.0)
     cfg = AnalysisConfig(match_trials=1, seed=5)
     fn = stub_matchup([[4.0, 4.0], [1.0, 1.0], [0.2, 3.0], [3.4, 0.4]])
     m = run_payoff_trials(cfg, coop, defect, matchup_fn=fn).aggregate
@@ -233,23 +228,29 @@ def test_payoff_matrix_averages_mixed_seatings():
 
 
 def test_payoff_matrix_rejects_misclassified_inputs():
-    coop = make_policy(AgentKind.HQLEARNER, alpha=10.0)  # in the gap
-    defect = make_policy(AgentKind.QLEARNER, alpha=30.0)
+    coop = make_policy(alpha=10.0)  # in the gap
+    defect = make_policy(alpha=30.0)
     cfg = AnalysisConfig(match_trials=1)
-    with pytest.raises(PolicyClassificationError):
+    with pytest.raises(PolicyClassificationError) as err:
         run_payoff_trials(cfg, coop, defect, matchup_fn=stub_matchup([]))
+    assert (err.value.coop_alpha, err.value.defect_alpha) == (10.0, 30.0)
+    assert err.value.thresholds == cfg.thresholds
+    assert str(err.value) == (
+        "policy classification failed: cooperative alpha=10.000, "
+        "defecting alpha=30.000 (thresholds 5.0/15.0)"
+    )
     with pytest.raises(PolicyClassificationError):
         run_payoff_trials(
             cfg,
-            make_policy(AgentKind.HQLEARNER, 0.0),
-            make_policy(AgentKind.QLEARNER, 10.0),
+            make_policy(alpha=0.0),
+            make_policy(alpha=10.0),
             matchup_fn=stub_matchup([]),
         )
 
 
 def test_run_payoff_trials_aggregate_and_fraction(tmp_path):
-    coop = make_policy(AgentKind.HQLEARNER, alpha=1.0)
-    defect = make_policy(AgentKind.QLEARNER, alpha=30.0)
+    coop = make_policy(alpha=1.0)
+    defect = make_policy(alpha=30.0)
     cfg = AnalysisConfig(match_trials=2, seed=5)
     fn = stub_matchup(
         [
