@@ -136,22 +136,21 @@ def _read_rows(path: str) -> tuple[list[str], list[dict]]:
     return list(header), rows
 
 
-def render_learning_curve(path: str) -> str:
+def _render_learning_curve(path: str, rows: list[dict]) -> str:
     """Three stacked panels: score average, invasions, successful defers."""
-    header, rows = _read_rows(path)
-    if header != LEARNING_CURVE_HEADER:
-        raise ChartError(f"unexpected learning-curve header: {header}")
     by_bin: dict[int, dict[str, list[float]]] = defaultdict(
         lambda: defaultdict(list)
     )
-    try:
-        for row in rows:
+    for n, row in enumerate(rows, start=1):
+        try:
             start = int(row["bin_start"])
             by_bin[start]["cs_avg"].append(float(row["cs_avg"]))
             by_bin[start]["invasions"].append(float(row["invasions"]))
             by_bin[start]["defers"].append(float(row["successful_defers"]))
-    except (TypeError, ValueError) as exc:
-        raise ChartError(f"malformed learning-curve row: {exc}")
+        except (TypeError, ValueError) as exc:
+            raise ChartError(
+                f"{path}: malformed learning-curve data row {n}: {exc}"
+            )
     xs = sorted(by_bin)
     panels = []
     titles = [
@@ -170,22 +169,19 @@ def render_learning_curve(path: str) -> str:
     return _svg(PANEL_W, PANEL_H * len(titles), "\n".join(panels))
 
 
-def render_actions(path: str) -> str:
+def _render_actions(path: str, rows: list[dict]) -> str:
     """One panel per player, six action-count series each (trial 0)."""
-    header, rows = _read_rows(path)
-    if header != ACTIONS_HEADER:
-        raise ChartError(f"unexpected actions header: {header}")
     by_player: dict[int, dict[int, list[int]]] = defaultdict(dict)
-    try:
-        for row in rows:
+    for n, row in enumerate(rows, start=1):
+        try:
             if int(row["trial"]) != 0:
                 continue
             counts = [int(row[name]) for name in ACTION_NAMES]
             by_player[int(row["player"])][int(row["bin_start"])] = counts
-    except (TypeError, ValueError) as exc:
-        raise ChartError(f"malformed actions row: {exc}")
+        except (TypeError, ValueError) as exc:
+            raise ChartError(f"{path}: malformed actions data row {n}: {exc}")
     if not by_player:
-        raise ChartError("no trial-0 rows to plot")
+        raise ChartError(f"{path} has no trial-0 rows to plot")
     panels = []
     for idx, player in enumerate(sorted(by_player)):
         bins = by_player[player]
@@ -203,9 +199,9 @@ def render_actions(path: str) -> str:
 
 def render_csv(path: str) -> str:
     """Dispatch on the CSV header; raises ChartError for unknown schemas."""
-    header, _ = _read_rows(path)
+    header, rows = _read_rows(path)
     if header == LEARNING_CURVE_HEADER:
-        return render_learning_curve(path)
+        return _render_learning_curve(path, rows)
     if header == ACTIONS_HEADER:
-        return render_actions(path)
-    raise ChartError(f"no chart for CSV with header {header}")
+        return _render_actions(path, rows)
+    raise ChartError(f"no chart for CSV {path} with header {header}")

@@ -161,6 +161,7 @@ class ResolvedConfig:
             hp=self.hyperparams(),
             thresholds=Thresholds(alpha_c=s["alpha_c"], alpha_d=s["alpha_d"]),
             seed=s["seed"],
+            workers=s["workers"],
         )
 
     def manifest(self) -> str:

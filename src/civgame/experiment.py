@@ -15,7 +15,8 @@ import statistics
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Sequence
+from functools import partial
+from typing import Callable, Sequence
 
 from .agents import (
     AgentKind,
@@ -402,14 +403,44 @@ def _run_trial_bins(args: tuple[RunConfig, int]) -> list[MetricsBin]:
     return run_game(cfg, trial_seed(cfg.seed, k)).bins
 
 
+# The leading arguments that every job in a pool process shares: set once
+# in each worker process by _share, never in the process that maps.
+_shared_args: tuple = ()
+
+
+def _share(args: tuple) -> None:
+    global _shared_args
+    _shared_args = args
+
+
+def _call_shared(fn: Callable, job):
+    return fn(*_shared_args, job)
+
+
+def map_jobs(fn: Callable, jobs: Sequence, workers: int, shared: tuple = ()) -> list:
+    """[fn(*shared, job) for job in jobs], in up to `workers` processes.
+
+    The pool has min(workers, len(jobs)) processes; when that is one, the
+    jobs run inline and no pool is made. Results keep the job order.
+    `shared` reaches each process once, through the pool's initializer,
+    not with every job.
+    """
+    size = min(workers, len(jobs))
+    if size <= 1:
+        return [fn(*shared, job) for job in jobs]
+    if not shared:
+        with ProcessPoolExecutor(max_workers=size) as pool:
+            return list(pool.map(fn, jobs))
+    with ProcessPoolExecutor(
+        max_workers=size, initializer=_share, initargs=(shared,)
+    ) as pool:
+        return list(pool.map(partial(_call_shared, fn), jobs))
+
+
 def run_trials(cfg: RunConfig) -> TrialSummary:
-    """Run cfg.trials seeded trials, in processes when cfg.workers > 1."""
+    """Run cfg.trials seeded trials, in up to cfg.workers processes."""
     jobs = [(cfg, k) for k in range(cfg.trials)]
-    if cfg.workers > 1 and cfg.trials > 1:
-        with ProcessPoolExecutor(max_workers=min(cfg.workers, cfg.trials)) as pool:
-            series = list(pool.map(_run_trial_bins, jobs))
-    else:
-        series = [_run_trial_bins(job) for job in jobs]
+    series = map_jobs(_run_trial_bins, jobs, cfg.workers)
     return TrialSummary(config=cfg, trials=series)
 
 

@@ -17,7 +17,14 @@ from enum import Enum
 from typing import Callable, Sequence
 
 from .agents import AgentKind, Hyperparams, QTable
-from .experiment import AgentSetup, RunConfig, Variant, run_game, stream_seed
+from .experiment import (
+    AgentSetup,
+    RunConfig,
+    Variant,
+    map_jobs,
+    run_game,
+    stream_seed,
+)
 from .game import RewardConfig
 
 
@@ -148,6 +155,7 @@ class AnalysisConfig:
     hp: Hyperparams = field(default_factory=Hyperparams)
     thresholds: Thresholds = field(default_factory=Thresholds)
     seed: int = 1
+    workers: int = 1
 
     def __post_init__(self) -> None:
         if self.players < 2:
@@ -159,6 +167,8 @@ class AnalysisConfig:
             value = getattr(self, name)
             if value < 1:
                 raise ValueError(f"{name} must be >= 1, got {value}")
+        if self.workers < 1:
+            raise ValueError("workers must be >= 1")
 
 
 def _frozen_setups(
@@ -251,6 +261,16 @@ class AnalysisResult:
     stag_hunt_fraction: float
 
 
+def _play_seating(
+    cfg: AnalysisConfig, seatings: dict, job: tuple[str, int]
+) -> list[float]:
+    """Per-seat payoffs of one (seating name, seed) matchup job."""
+    name, seed = job
+    tables, eps_by_seat = seatings[name]
+    payoffs, _, _ = play_matchup(cfg, tables, eps_by_seat, cfg.match_steps, seed)
+    return payoffs
+
+
 def run_payoff_trials(
     cfg: AnalysisConfig,
     coop: TrainedPolicy,
@@ -260,7 +280,9 @@ def run_payoff_trials(
     """The three matchups, match_trials times; mixed runs both seatings.
 
     Tables are seat-bound (a state encodes who starts in which corner),
-    so each table only ever plays in the seat it was trained in.
+    so each table only ever plays in the seat it was trained in. The
+    matchups only read the tables, so they run in up to cfg.workers
+    processes with the same results; a `matchup_fn` runs them inline.
     """
     if (
         classify_policy(coop.alpha, cfg.thresholds) is not PolicyClass.COOPERATIVE
@@ -268,31 +290,34 @@ def run_payoff_trials(
     ):
         raise PolicyClassificationError(coop.alpha, defect.alpha, cfg.thresholds)
 
-    if matchup_fn is None:
-        def matchup_fn(tables, eps_by_seat, seed):
-            payoffs, _, _ = play_matchup(
-                cfg, tables, eps_by_seat, cfg.match_steps, seed
-            )
-            return payoffs
-
     eps_c, eps_d = coop.final_eps, defect.final_eps
     p = cfg.players
     half = p // 2  # seats 0..half-1 vs half..p-1, then swapped
+    # per trial: each policy against itself, then the mixed pair in both
+    # seat orders
+    seatings = {
+        "cc": (coop.tables, [eps_c] * p),
+        "dd": (defect.tables, [eps_d] * p),
+        "cd": (coop.tables[:half] + defect.tables[half:],
+               [eps_c] * half + [eps_d] * (p - half)),
+        "dc": (defect.tables[:half] + coop.tables[half:],
+               [eps_d] * half + [eps_c] * (p - half)),
+    }
+    jobs = [
+        (name, stream_seed(stream_seed(cfg.seed, f"match:{k}"), name))
+        for k in range(cfg.match_trials)
+        for name in seatings
+    ]
+    if matchup_fn is None:
+        payoffs = map_jobs(
+            _play_seating, jobs, cfg.workers, shared=(cfg, seatings)
+        )
+    else:
+        payoffs = [matchup_fn(*seatings[name], seed) for name, seed in jobs]
+
     per_trial = []
     for k in range(cfg.match_trials):
-        seed = stream_seed(cfg.seed, f"match:{k}")
-        cc = matchup_fn(coop.tables, [eps_c] * p, stream_seed(seed, "cc"))
-        dd = matchup_fn(defect.tables, [eps_d] * p, stream_seed(seed, "dd"))
-        cd = matchup_fn(
-            coop.tables[:half] + defect.tables[half:],
-            [eps_c] * half + [eps_d] * (p - half),
-            stream_seed(seed, "cd"),
-        )
-        dc = matchup_fn(
-            defect.tables[:half] + coop.tables[half:],
-            [eps_d] * half + [eps_c] * (p - half),
-            stream_seed(seed, "dc"),
-        )
+        cc, dd, cd, dc = payoffs[4 * k:4 * k + 4]
         # across the two seatings each policy is observed once per seat
         R = sum(cc) / p
         P = sum(dd) / p

@@ -350,8 +350,13 @@ def test_criterion_9_matrix_analysis_reproduction(tmp_path):
     the Stag Hunt fraction to ~0.13. The asserts are kept exactly as
     specified.
     """
+    # every other key at its default; results do not depend on workers
+    config = tmp_path / "analyze.cfg"
+    config.write_text("workers=2\n", encoding="utf-8")
     with criterion(9, "matrix game: fear-dominant, mostly Stag Hunt, small incentives"):
-        assert main(["analyze", "--seed", "1", "--out", str(tmp_path)]) == 0
+        assert main([
+            "analyze", "--config", str(config), "--seed", "1", "--out", str(tmp_path),
+        ]) == 0
         with open(tmp_path / "matrix.csv", newline="", encoding="utf-8") as f:
             *trial_rows, aggregate = csv.DictReader(f)
         result = SimpleNamespace(

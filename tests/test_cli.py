@@ -293,19 +293,23 @@ def test_plot_header_only_csv_exits_2(tmp_path, capsys):
     assert "no data" in capsys.readouterr().err
 
 
-def test_plot_unknown_schema_exits_2(tmp_path):
+def test_plot_unknown_schema_exits_2(tmp_path, capsys):
     path = write(tmp_path, "odd.csv", "a,b\n1,2\n")
     assert run_cli(["plot", path, "--out", str(tmp_path / "x.svg")]) == 2
+    assert path in capsys.readouterr().err
 
 
 def test_plot_malformed_rows_exit_2(tmp_path, capsys):
     header = "trial,bin_start,cs_sum,cs_avg,invasions,successful_defers\n"
-    for name, text in [
-        ("bad.csv", header + "0,x,1,1,1,1\n"),
+    actions = "trial,bin_start,player,up,down,left,right,stay,defer\n"
+    # (file name, contents, number of the bad data row when one is at fault)
+    for name, text, bad_row in [
+        ("bad.csv", header + "0,0,1,1,1,1\n0,x,1,1,1,1\n", 2),
+        ("bad_actions.csv", actions + "0,0,0,1,1,1,1,1,y\n", 1),
         # a field past the csv module's field size limit (131072)
-        ("huge.csv", header + "0," + "9" * 200_000 + ",1,1,1,1\n"),
+        ("huge.csv", header + "0," + "9" * 200_000 + ",1,1,1,1\n", None),
         # UTF-16 with a byte-order mark: not UTF-8
-        ("utf16.csv", (header + "0,0,1,1,1,1\n").encode("utf-16")),
+        ("utf16.csv", (header + "0,0,1,1,1,1\n").encode("utf-16"), None),
     ]:
         path = tmp_path / name
         if isinstance(text, bytes):
@@ -315,8 +319,27 @@ def test_plot_malformed_rows_exit_2(tmp_path, capsys):
         assert run_cli(["plot", str(path), "--out", str(tmp_path / "x.svg")]) == 2
         err = capsys.readouterr().err
         assert "invalid configuration" not in err
-        if isinstance(text, bytes):
-            assert str(path) in err
+        assert str(path) in err
+        if bad_row is not None:
+            assert f"data row {bad_row}:" in err
+
+
+def test_render_csv_reads_the_csv_once(tmp_path, monkeypatch):
+    import civgame.charts
+
+    out = simulate_small(tmp_path)
+    read = civgame.charts._read_rows
+    reads = []
+
+    def counting_read(path):
+        reads.append(path)
+        return read(path)
+
+    monkeypatch.setattr(civgame.charts, "_read_rows", counting_read)
+    paths = [str(out / "learning_curve.csv"), str(out / "actions.csv")]
+    for path in paths:
+        render_csv(path)
+    assert reads == paths
 
 
 def test_render_csv_dispatch_errors(tmp_path):

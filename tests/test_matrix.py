@@ -316,3 +316,69 @@ def test_play_matchup_leaves_input_tables_unchanged():
     for variant in (Variant.BASE, Variant.SOVEREIGN):
         play_matchup(cfg, tables, [0.1, 0.1], 2_000, 8, variant=variant)
     assert [(len(t), dump_qtable(t)) for t in tables] == before
+
+
+# --- matchups over worker processes ---------------------------------------------
+
+
+def trained_policy(seed, final_eps, alpha):
+    """Small real tables from a short learning run, with an in-class alpha."""
+    trained = run_game(
+        RunConfig(
+            size=4, players=2, total_steps=2_000, bin_size=2_000, trials=1,
+            agent_kinds=(AgentKind.QLEARNER,) * 2, variant=Variant.BASE,
+        ),
+        seed,
+        keep_tables=True,
+    )
+    return TrainedPolicy(tables=trained.tables, final_eps=final_eps, alpha=alpha)
+
+
+def test_matrix_csv_does_not_depend_on_workers(tmp_path):
+    coop = trained_policy(6, final_eps=0.01, alpha=1.0)
+    defect = trained_policy(7, final_eps=0.2, alpha=30.0)
+    texts = []
+    for workers in (1, 2, 3):
+        cfg = AnalysisConfig(
+            size=4, players=2, match_steps=400, match_trials=2, seed=9,
+            workers=workers,
+        )
+        out = tmp_path / f"matrix-{workers}.csv"
+        write_matrix_csv(run_payoff_trials(cfg, coop, defect), str(out))
+        texts.append(out.read_bytes())
+    assert texts[0] == texts[1] == texts[2]
+
+
+def test_matchup_pool_never_has_more_processes_than_jobs(monkeypatch):
+    asked = []
+
+    class InlinePool:
+        """Records the pool size asked for and maps in this process."""
+
+        def __init__(self, max_workers, initializer, initargs):
+            asked.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr("civgame.experiment.ProcessPoolExecutor", InlinePool)
+    # the initializer runs here, so restore what it sets
+    monkeypatch.setattr("civgame.experiment._shared_args", ())
+    coop = make_policy(alpha=1.0)
+    defect = make_policy(alpha=30.0)
+    results = []
+    for workers in (8, 1):
+        cfg = AnalysisConfig(match_steps=100, match_trials=1, workers=workers)
+        results.append(run_payoff_trials(cfg, coop, defect))
+    # four matchups per trial; workers=1 makes no pool at all
+    assert asked == [4]
+    assert results[0] == results[1]
+    with pytest.raises(ValueError, match="workers"):
+        AnalysisConfig(workers=0)
