@@ -417,7 +417,9 @@ def _call_shared(fn: Callable, job):
     return fn(*_shared_args, job)
 
 
-def map_jobs(fn: Callable, jobs: Sequence, workers: int, shared: tuple = ()) -> list:
+def map_jobs(
+    fn: Callable, jobs: Sequence, workers: int, shared: tuple = ()
+) -> list:
     """[fn(*shared, job) for job in jobs], in up to `workers` processes.
 
     The pool has min(workers, len(jobs)) processes; when that is one, the
