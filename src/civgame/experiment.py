@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import os
 import random
 import statistics
 from concurrent.futures import ProcessPoolExecutor
@@ -422,17 +423,14 @@ def map_jobs(
 ) -> list:
     """[fn(*shared, job) for job in jobs], in up to `workers` processes.
 
-    The pool has min(workers, len(jobs)) processes; when that is one, the
-    jobs run inline and no pool is made. Results keep the job order.
-    `shared` reaches each process once, through the pool's initializer,
-    not with every job.
+    The pool has min(workers, len(jobs), CPU count) processes; when that
+    is one, the jobs run inline and no pool is made. Results keep the job
+    order. `shared` reaches each process once, through the pool's
+    initializer, not with every job.
     """
-    size = min(workers, len(jobs))
+    size = min(workers, len(jobs), os.cpu_count() or 1)
     if size <= 1:
         return [fn(*shared, job) for job in jobs]
-    if not shared:
-        with ProcessPoolExecutor(max_workers=size) as pool:
-            return list(pool.map(fn, jobs))
     with ProcessPoolExecutor(
         max_workers=size, initializer=_share, initargs=(shared,)
     ) as pool:

@@ -162,13 +162,11 @@ class AnalysisConfig:
             raise ValueError("matchups need at least 2 players")
         for name in (
             "train_steps", "defect_train_steps", "match_steps",
-            "match_trials", "eval_steps",
+            "match_trials", "eval_steps", "workers",
         ):
             value = getattr(self, name)
             if value < 1:
                 raise ValueError(f"{name} must be >= 1, got {value}")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
 
 
 def _frozen_setups(

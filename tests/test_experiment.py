@@ -235,29 +235,20 @@ def test_parallel_trials_match_sequential():
         assert [x.action_counts for x in a] == [x.action_counts for x in b]
 
 
-def test_pool_never_has_more_processes_than_trials(monkeypatch):
-    asked = []
-
-    class InlinePool:
-        """Records the pool size asked for and maps in this process."""
-
-        def __init__(self, max_workers):
-            asked.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, jobs):
-            return map(fn, jobs)
-
-    monkeypatch.setattr("civgame.experiment.ProcessPoolExecutor", InlinePool)
+def test_pool_never_has_more_processes_than_trials(fake_pool):
     for workers, trials in ((8, 3), (2, 3), (3, 2)):
         cfg = small_cfg(total_steps=500, bin_size=500, trials=trials, workers=workers)
         assert len(run_trials(cfg).trials) == trials
-    assert asked == [3, 2, 2]
+    assert fake_pool == [3, 2, 2]
+
+
+def test_pool_never_has_more_processes_than_cpus(fake_pool, monkeypatch):
+    cfg = small_cfg(total_steps=500, bin_size=500, trials=3, workers=8)
+    for cpus in (2, 1, None):  # None: the count is unknown
+        monkeypatch.setattr("civgame.experiment.os.cpu_count", lambda n=cpus: n)
+        assert len(run_trials(cfg).trials) == 3
+    # one CPU, or an unknown count, runs the trials inline
+    assert fake_pool == [2]
 
 
 def test_trial_seeds_are_master_plus_index():

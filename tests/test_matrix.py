@@ -349,28 +349,7 @@ def test_matrix_csv_does_not_depend_on_workers(tmp_path):
     assert texts[0] == texts[1] == texts[2]
 
 
-def test_matchup_pool_never_has_more_processes_than_jobs(monkeypatch):
-    asked = []
-
-    class InlinePool:
-        """Records the pool size asked for and maps in this process."""
-
-        def __init__(self, max_workers, initializer, initargs):
-            asked.append(max_workers)
-            initializer(*initargs)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, jobs):
-            return map(fn, jobs)
-
-    monkeypatch.setattr("civgame.experiment.ProcessPoolExecutor", InlinePool)
-    # the initializer runs here, so restore what it sets
-    monkeypatch.setattr("civgame.experiment._shared_args", ())
+def test_matchup_pool_never_has_more_processes_than_jobs(fake_pool):
     coop = make_policy(alpha=1.0)
     defect = make_policy(alpha=30.0)
     results = []
@@ -378,7 +357,7 @@ def test_matchup_pool_never_has_more_processes_than_jobs(monkeypatch):
         cfg = AnalysisConfig(match_steps=100, match_trials=1, workers=workers)
         results.append(run_payoff_trials(cfg, coop, defect))
     # four matchups per trial; workers=1 makes no pool at all
-    assert asked == [4]
+    assert fake_pool == [4]
     assert results[0] == results[1]
     with pytest.raises(ValueError, match="workers"):
         AnalysisConfig(workers=0)
