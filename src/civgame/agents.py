@@ -15,14 +15,11 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import IO, Iterable, Sequence
 
-from .game import (
-    BOARD_OFFSET,
-    Action,
-    GameState,
-    encode_state,
-    key_offsets,
-    occupied_cell,
-)
+from .game import BOARD_OFFSET, Action, GameState, key_offsets, occupied_cell
+
+# Not called here since select_action takes only keys; perfbench's tracer
+# looks the name up in this module as a layer site (perfbench/sites.py).
+from .game import encode_state  # noqa: F401
 
 NUM_ACTIONS = len(Action)
 _ZERO_ROW = (0.0,) * NUM_ACTIONS
@@ -69,25 +66,20 @@ class QTable:
         self.writes = 0
         self.write_log: list | None = None
 
-    def _write_row(self, key: bytes) -> list[float]:
-        row = self.rows.get(key)
-        if row is None:
-            row = self.rows[key] = [0.0] * NUM_ACTIONS
-        return row
-
     def value(self, key: bytes, action: Action) -> float:
         return self.rows.get(key, _ZERO_ROW)[action]
 
     def set(self, key: bytes, action: Action, value: float) -> None:
-        self._write_row(key)[action] = value
-
-    def best_value(self, key: bytes, legal: Sequence[Action]) -> float:
-        row = self.rows.get(key, _ZERO_ROW)
-        return max(row[a] for a in legal)
+        row = self.rows.get(key)
+        if row is None:
+            row = self.rows[key] = [0.0] * NUM_ACTIONS
+        row[action] = value
 
     def blend(self, key: bytes, action: Action, delta: float, alpha: float) -> None:
         """Core table write: Q <- (1 - alpha) * Q + delta."""
-        row = self._write_row(key)
+        row = self.rows.get(key)
+        if row is None:
+            row = self.rows[key] = [0.0] * NUM_ACTIONS
         old = row[action]
         new = (1.0 - alpha) * old + delta
         row[action] = new
@@ -101,23 +93,29 @@ class QTable:
 
 def select_action(
     q: QTable,
-    state_or_key: GameState | bytes,
+    key: bytes,
     legal: Sequence[Action],
     eps: float,
     rng: random.Random,
 ) -> Action:
     """Epsilon-greedy over the legal set, uniform tie-breaking on exploit.
 
-    Only reads the table: a key without a row reads as all zeros.
+    `key` is an encode_state key. Only reads the table: a key without a
+    row reads as all zeros, so every legal action ties. Each call draws
+    rng.random() once, then one randrange to explore or to break a tie
+    among two or more actions.
     """
     if not legal:
         raise ValueError("legal action set is empty")
     if rng.random() < eps:
         return legal[rng.randrange(len(legal))]
-    key = state_or_key if isinstance(state_or_key, bytes) else encode_state(state_or_key)
-    row = q.rows.get(key, _ZERO_ROW)
-    best = max(row[a] for a in legal)
-    ties = [a for a in legal if row[a] == best]
+    row = q.rows.get(key)
+    if row is None:
+        ties = legal
+    else:
+        values = [row[a] for a in legal]
+        best = max(values)
+        ties = [a for a, v in zip(legal, values) if v == best]
     return ties[0] if len(ties) == 1 else ties[rng.randrange(len(ties))]
 
 
@@ -130,8 +128,13 @@ def q_update(
     legal_next: Sequence[Action],
     hp: Hyperparams,
 ) -> float:
-    """Bellman update Q <- (1-a)Q + a(r + g max Q(s',.)); returns the increment."""
-    delta = hp.alpha * (r + hp.gamma * q.best_value(s_next_key, legal_next))
+    """Bellman update Q <- (1-a)Q + a(r + g max Q(s',.)); returns the increment.
+
+    The max ranges over `legal_next`; a next key without a row reads as 0.
+    """
+    row = q.rows.get(s_next_key)
+    best = 0.0 if row is None else max([row[a] for a in legal_next])
+    delta = hp.alpha * (r + hp.gamma * best)
     q.blend(s_key, action, delta, hp.alpha)
     return delta
 
@@ -156,6 +159,7 @@ def ola_state(state: GameState, observer: int, mover: int) -> GameState:
 def ola_broadcast(
     tables: Sequence[QTable | None],
     key: bytes,
+    cells: Sequence[int],
     action: Action,
     delta: float,
     mover: int,
@@ -164,24 +168,26 @@ def ola_broadcast(
     """Blend the mover's update increment into every other player's table.
 
     `key` is the encode_state key of the pre-move state, with `mover` to
-    move. Each observer's write lands at the key of ola_state(state,
-    observer, mover), built on the bytes: the two players' position bytes
-    and invaded bytes are swapped and the move byte names the observer.
-    The mover's delta is blended verbatim (not recomputed). Entries of
-    `tables` that are None (broadcasting disabled for that seat) are
-    skipped.
+    move, and `cells[j]` is seat j's board cell in that key (the board
+    index of its occupied-cell byte). The cells are trusted, not looked
+    up, so they must be the pre-move ones. Each observer's write lands at
+    the key of ola_state(state, observer, mover), built on the bytes: the
+    two players' position bytes and invaded bytes are swapped and the
+    move byte names the observer. The mover's delta is blended verbatim
+    (not recomputed). Entries of `tables` that are None (broadcasting
+    disabled for that seat) are skipped.
     """
     invaded_at, move_at, _ = key_offsets(key[0], key[1])
-    mover_cell = occupied_cell(mover)
-    mover_loc = key.index(mover_cell, BOARD_OFFSET)
+    mover_at = BOARD_OFFSET + cells[mover]
+    mover_cell = key[mover_at]
     mover_flag = key[invaded_at + mover]
     for i, table in enumerate(tables):
         if i == mover or table is None:
             continue
-        cell = occupied_cell(i)
+        at = BOARD_OFFSET + cells[i]
         swapped = bytearray(key)
-        swapped[key.index(cell, BOARD_OFFSET)] = mover_cell
-        swapped[mover_loc] = cell
+        swapped[at] = mover_cell
+        swapped[mover_at] = key[at]
         swapped[invaded_at + i] = mover_flag
         swapped[invaded_at + mover] = key[invaded_at + i]
         swapped[move_at] = i

@@ -188,13 +188,16 @@ def run_game(
 
     Each step: the mover (or every voter) picks an action epsilon-greedily
     from its own table, the environment transitions, and Q-updates plus
-    broadcasts are applied according to each seat's agent kind.
+    broadcasts are applied according to each seat's agent kind. Random
+    seats draw uniformly from the legal set; learners call select_action
+    with the step's epsilon_at, or with their fixed_eps.
 
     The loop's state is the encode_state key itself, a bytearray edited
     in place, plus each seat's cell and territory count and the number
-    of forced-defer turns left. It plays by the rules that transition,
-    sovereign_transition, reward and is_invasion define on GameState;
-    the tests replay its traces through those functions.
+    of forced-defer turns left. Each seat's cell also hands ola_broadcast
+    the positions in the pre-move key. It plays by the rules that
+    transition, sovereign_transition, reward and is_invasion define on
+    GameState; the tests replay its traces through those functions.
     """
     p, hp, rc = cfg.players, cfg.hp, cfg.rewards
     sovereign = cfg.variant is Variant.SOVEREIGN
@@ -217,6 +220,8 @@ def run_game(
         for table, setup in zip(tables, setups)
     ]
     any_receiver = any(t is not None for t in recv_tables)
+    randoms = [s.kind is AgentKind.RANDOM for s in setups]
+    fixed_eps = [s.fixed_eps for s in setups]
     learns = [s.learn and s.kind is not AgentKind.RANDOM for s in setups]
     broadcasts = [s.kind is AgentKind.HQLEARNER and any_receiver for s in setups]
     vote_learns = [s.learn and s.kind is AgentKind.HQLEARNER for s in setups]
@@ -243,30 +248,34 @@ def run_game(
     moves_per_player = [0] * p
     invasions_per_player = [0] * p
 
+    # per cell, each on-board movement and the key offset of its destination
+    steps = [tuple((a, board_at + d) for a, d in nb.items()) for nb in nbrs]
+
     def legal_of(i: int) -> list[Action]:
         """legal_actions for seat i, read off the key bytes."""
-        acts = [a for a, d in nbrs[pos[i]].items() if k[board_at + d] < occ0]
+        acts = [a for a, at in steps[pos[i]] if k[at] < occ0]
         return acts or [Action.STAY]
-
-    def choose(i: int, legal: list[Action], t: int) -> Action:
-        setup = setups[i]
-        rng = rngs[i]
-        if setup.kind is AgentKind.RANDOM:
-            return legal[rng.randrange(len(legal))]
-        eps = setup.fixed_eps
-        if eps is None:
-            eps = epsilon_at(t, hp)
-        return select_action(tables[i], key, legal, eps, rng)
 
     move = 0
     legal = legal_of(0)  # the legal set of the seat to move
     for t in range(cfg.total_steps):
         b = bins[t // cfg.bin_size]
+        eps = epsilon_at(t, hp)
         if move == p:  # the sovereign vote
             ci = sum(k[invaded_at:move_at])
-            ballots = tuple(
-                choose(i, legal_of(i) + [Action.DEFER], t) for i in range(p)
-            )
+            ballots = []
+            for i in range(p):
+                options = legal_of(i) + [Action.DEFER]
+                rng = rngs[i]
+                if randoms[i]:
+                    ballots.append(options[rng.randrange(len(options))])
+                else:
+                    seat_eps = fixed_eps[i]
+                    ballots.append(select_action(
+                        tables[i], key, options,
+                        eps if seat_eps is None else seat_eps, rng,
+                    ))
+            ballots = tuple(ballots)
             success = vote_succeeds(ballots, p)
             if success:
                 payouts = (rc.vote_bonus,) * p
@@ -306,16 +315,23 @@ def run_game(
 
         i = move
         ci = sum(k[invaded_at:move_at]) if not sovereign and i == 0 else -1
-        action = choose(i, legal, t)
+        rng = rngs[i]
+        if randoms[i]:
+            action = legal[rng.randrange(len(legal))]
+        else:
+            seat_eps = fixed_eps[i]
+            action = select_action(
+                tables[i], key, legal, eps if seat_eps is None else seat_eps, rng
+            )
         # reward terms from the pre-move bytes: farming, then (unless a
         # forced defer) the invaded penalty and the invasion bonus
         r = terr[i]
         invasion = False
+        loc = dest = pos[i]
         if action is not Action.DEFER:
             if k[invaded_at + i]:
                 r += penalty
             if action is not Action.STAY:
-                loc = pos[i]
                 dest = nbrs[loc][action]
                 cell = k[board_at + dest]  # unowned or territory, never occupied
                 if cell != UNOWNED:
@@ -343,7 +359,9 @@ def run_game(
             legal_next = legal if move != p else legal_of(i) + [Action.DEFER]
             delta = q_update(tables[i], key, action, r, next_key, legal_next, hp)
             if broadcasts[i]:
-                ola_broadcast(recv_tables, key, action, delta, i, hp)
+                pos[i] = loc  # the broadcast reads the cells of the pre-move key
+                ola_broadcast(recv_tables, key, pos, action, delta, i, hp)
+                pos[i] = dest
 
         rewards_per_player[i] += r
         moves_per_player[i] += 1

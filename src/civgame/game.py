@@ -309,7 +309,8 @@ def encode_state(state: GameState) -> bytes:
     - byte 2 + n + p: the move; byte 2 + n + p + 1: flag + 1.
 
     key_offsets gives the last three offsets. run_game steps this layout
-    in place and ola_broadcast builds its swapped keys from it.
+    in place, and ola_broadcast builds its swapped keys from it at the
+    seats' cells that run_game hands it.
     """
     return (
         bytes((state.size, state.players))

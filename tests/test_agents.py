@@ -23,7 +23,7 @@ from civgame.agents import (
     select_action,
 )
 from civgame.experiment import AgentSetup, RunConfig, Variant, VoteRecord, run_game
-from civgame.game import Action, encode_state, initial_state
+from civgame.game import Action, GameState, encode_state, initial_state, occupied_cell
 
 HP = Hyperparams()
 
@@ -101,9 +101,10 @@ def test_select_rejects_empty_legal():
 
 
 def test_reads_never_add_rows():
-    """select_action, best_value and value read a key without a row as
-    all zeros: the same choices and random draws as an explicit zero
-    row, and the table stays empty. Only set and blend add a row."""
+    """select_action, q_update's next-state max and value read a key
+    without a row as all zeros: the same choices and random draws as an
+    explicit zero row, and the table stays empty. Only set and blend add
+    a row."""
     legal = [Action.UP, Action.DOWN, Action.LEFT]
     for eps in (0.0, 1.0):
         empty, zeros = QTable(), QTable()
@@ -116,22 +117,16 @@ def test_reads_never_add_rows():
         assert len(set(picks_a)) == 3  # ties are broken uniformly
         assert empty.rows == {}
     q = QTable()
-    assert q.best_value(b"unseen", legal) == 0.0
     assert [q.value(b"unseen", a) for a in Action] == [0.0] * 6
     assert q.rows == {}
+    hp = Hyperparams(alpha=0.5, gamma=0.99)
+    assert q_update(q, b"s", Action.UP, 4, b"unseen", legal, hp) == hp.alpha * 4
+    assert list(q.rows) == [b"s"]  # the next-state read added no row
     q.set(b"s", Action.UP, 1.0)
     assert list(q.rows) == [b"s"]
     q.blend(b"t", Action.DOWN, 1.0, 0.5)
     assert list(q.rows) == [b"s", b"t"]
     assert select_action(q, b"s", legal, 0.0, random.Random(0)) is Action.UP
-
-
-def test_select_accepts_game_state():
-    s = initial_state(3, 2)
-    q = QTable()
-    q.set(encode_state(s), Action.RIGHT, 5.0)
-    got = select_action(q, s, [Action.DOWN, Action.RIGHT], 0.0, random.Random(0))
-    assert got is Action.RIGHT
 
 
 # --- Bellman update -----------------------------------------------------------
@@ -245,13 +240,18 @@ def test_ola_state_rejects_self_swap():
 # --- broadcast ------------------------------------------------------------------
 
 
+def cells(state):
+    """Each seat's board cell, as ola_broadcast takes them."""
+    return [state.position(j) for j in range(state.players)]
+
+
 def test_broadcast_blends_mover_delta_verbatim():
     s = replace(initial_state(3, 2), move=0)
     tables = [QTable(), QTable()]
     observer_key = encode_state(ola_state(s, 1, 0))
     before = tables[1].value(observer_key, Action.RIGHT)
     delta = 6.98
-    ola_broadcast(tables, encode_state(s), Action.RIGHT, delta, 0, HP)
+    ola_broadcast(tables, encode_state(s), cells(s), Action.RIGHT, delta, 0, HP)
     after = tables[1].value(observer_key, Action.RIGHT)
     assert after == pytest.approx((1 - HP.alpha) * before + delta, abs=1e-12)
 
@@ -261,7 +261,7 @@ def test_broadcast_write_counts():
     tables = [QTable() for i in range(4)]
     for t in tables:
         t.write_log = []
-    ola_broadcast(tables, encode_state(s), Action.DOWN, 1.0, 2, HP)
+    ola_broadcast(tables, encode_state(s), cells(s), Action.DOWN, 1.0, 2, HP)
     assert [len(t.write_log) for t in tables] == [1, 1, 0, 1]
 
 
@@ -271,9 +271,59 @@ def test_broadcast_skips_disabled_observers():
     for t in tables:
         if t is not None:
             t.write_log = []
-    ola_broadcast(tables, encode_state(s), Action.DOWN, 1.0, 0, HP)
+    ola_broadcast(tables, encode_state(s), cells(s), Action.DOWN, 1.0, 0, HP)
     assert len(tables[0].write_log) == 0  # mover untouched by broadcast
     assert len(tables[2].write_log) == 1
+
+
+@st.composite
+def broadcast_cases(draw):
+    """A state with players on distinct cells, random territory and
+    invaded flags, a mover, and which seats receive broadcasts."""
+    size = draw(st.integers(2, 6))
+    p = draw(st.integers(2, 4))
+    n = size * size
+    seats = draw(st.lists(st.integers(0, n - 1), min_size=p, max_size=p, unique=True))
+    board = bytearray(draw(st.lists(st.integers(0, p), min_size=n, max_size=n)))
+    for j, cell in enumerate(seats):
+        board[cell] = occupied_cell(j)
+    state = GameState(
+        board=bytes(board),
+        invaded=tuple(draw(st.lists(st.booleans(), min_size=p, max_size=p))),
+        move=draw(st.integers(0, p - 1)),
+        flag=draw(st.sampled_from((-1, 0, 1))),
+        size=size,
+        players=p,
+    )
+    receives = draw(st.lists(st.booleans(), min_size=p, max_size=p))
+    return state, receives
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    case=broadcast_cases(),
+    action=st.sampled_from(list(Action)),
+    delta=st.floats(-50, 50),
+)
+def test_broadcast_lands_in_the_observers_shoes(case, action, delta):
+    """Every observer write lands at encode_state(ola_state(state,
+    observer, mover)) with the mover's delta; the mover and the seats
+    that do not receive get none."""
+    state, receives = case
+    mover = state.move
+    tables = [QTable() if on else None for on in receives]
+    for t in tables:
+        if t is not None:
+            t.write_log = []
+    ola_broadcast(tables, encode_state(state), cells(state), action, delta, mover, HP)
+    for observer, table in enumerate(tables):
+        if table is None:
+            continue
+        expected = []
+        if observer != mover:
+            key = encode_state(ola_state(state, observer, mover))
+            expected = [(key, action, 0.0, delta, delta)]
+        assert table.write_log == expected
 
 
 def test_agent_mode_flags():

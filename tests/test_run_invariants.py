@@ -1,9 +1,13 @@
 """Cross-cutting run-level invariants: write patterns, reproducibility,
 forced-cycle behavior."""
 
+import warnings
 from dataclasses import replace
 
-from civgame.agents import AgentKind, QTable, dump_qtable
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from civgame.agents import AgentKind, Hyperparams, QTable, dump_qtable, epsilon_at
 from civgame.experiment import (
     AgentSetup,
     agent_rng,
@@ -14,6 +18,8 @@ from civgame.experiment import (
     run_game,
 )
 from civgame.game import Action, RewardConfig, reward
+
+H, Q, R = AgentKind.HQLEARNER, AgentKind.QLEARNER, AgentKind.RANDOM
 
 
 def hql_cfg(**kw):
@@ -134,7 +140,7 @@ def test_base_variant_ci_sampling_counts_flags_each_cycle():
     assert result.bins[0].invasions == expected
 
 
-def replay_against_oracle(cfg, seed, kinds):
+def replay_against_oracle(cfg, seed, setups):
     """Replay a traced run through the public GameState functions.
 
     Every record's key, legality, reward and invasion flag must be what
@@ -142,10 +148,15 @@ def replay_against_oracle(cfg, seed, kinds):
     rules call for: the mover's Bellman update at the record's key, with
     the max taken over the legal set the rules give at the next state;
     one broadcast write per receiving observer at the "in their shoes"
-    key with the mover's delta; and the vote updates. Shadow copies of
-    the tables, rebuilt from the write logs, supply the values read.
-    Random seats' draws are replayed too, so the loop must offer them
-    the rules' legal set, in order.
+    key with the mover's delta; and the vote updates. Frozen seats
+    (`learn=False`) write nothing. Shadow copies of the tables, rebuilt
+    from the write logs, supply the values read.
+
+    Every seat's draws are replayed from its own stream, so the loop
+    must offer it the rules' legal set, in order: a random seat draws
+    uniformly; a learner explores with probability epsilon_at(step) (or
+    its fixed eps), else takes the best action of its shadow row,
+    breaking ties uniformly.
     """
     from civgame.agents import ola_state
     from civgame.game import encode_state, initial_state, is_invasion, legal_actions
@@ -158,26 +169,44 @@ def replay_against_oracle(cfg, seed, kinds):
         sovereign_transition,
     )
 
-    tables = [QTable() if k is not AgentKind.RANDOM else None for k in kinds]
+    setups = [
+        replace(s, table=QTable())
+        if s.table is None and s.kind is not AgentKind.RANDOM else s
+        for s in setups
+    ]
+    tables = [s.table for s in setups]
+    shadow = [{} if t is None else {k: list(r) for k, r in t.rows.items()}
+              for t in tables]
     for t in tables:
         if t is not None:
             t.write_log = []
-    setups = [AgentSetup(kind=k, table=t) for k, t in zip(kinds, tables)]
     result = run_game(cfg, seed, setups=setups, keep_trace=True)
     p, rc, hp = cfg.players, cfg.rewards, cfg.hp
     sovereign = cfg.variant is Variant.SOVEREIGN
-    hq = [k is AgentKind.HQLEARNER for k in kinds]
+    learns = [s.learn and s.kind is not AgentKind.RANDOM for s in setups]
+    hq = [s.learn and s.kind is AgentKind.HQLEARNER for s in setups]
     cursor = [0] * p
-    shadow = [{} for _ in range(p)]
     rngs = [agent_rng(seed, i) for i in range(p)]
 
-    def check_choice(i, action, legal):
+    def check_choice(i, action, legal, key, step):
         assert action in legal
-        if kinds[i] is AgentKind.RANDOM:
-            assert action == legal[rngs[i].randrange(len(legal))]
+        rng = rngs[i]
+        if setups[i].kind is not AgentKind.RANDOM:
+            eps = setups[i].fixed_eps
+            if eps is None:
+                eps = epsilon_at(step, hp)
+            if rng.random() >= eps:
+                values = [value(i, key, a) for a in legal]
+                ties = [a for a, v in zip(legal, values) if v == max(values)]
+                if len(ties) == 1:
+                    assert action == ties[0]
+                else:
+                    assert action == ties[rng.randrange(len(ties))]
+                return
+        assert action == legal[rng.randrange(len(legal))]
 
     def value(i, key, action):
-        return shadow[i].get(key, {}).get(action, 0.0)
+        return shadow[i].get(key, (0.0,) * len(Action))[action]
 
     def check_write(i, key, action, delta=None):
         """Consume seat i's next write; returns its delta."""
@@ -188,7 +217,7 @@ def replay_against_oracle(cfg, seed, kinds):
         if delta is not None:
             assert w_delta == delta
         assert new == (1 - hp.alpha) * old + w_delta
-        shadow[i].setdefault(key, {})[action] = new
+        shadow[i].setdefault(key, [0.0] * len(Action))[action] = new
         return w_delta
 
     def bellman(i, r, next_key, legal_next):
@@ -201,7 +230,8 @@ def replay_against_oracle(cfg, seed, kinds):
         if isinstance(record, VoteRecord):
             assert record.invaded_sample == sum(state.invaded)
             for i, ballot in enumerate(record.ballots):
-                check_choice(i, ballot, sovereign_legal_actions(state, i, phase))
+                legal = sovereign_legal_actions(state, i, phase)
+                check_choice(i, ballot, legal, record.key, record.step)
             voted, phase = sovereign_transition(state, record.ballots, phase)
             assert record.success == (voted.flag == 1)
             state = consume_flag(voted)
@@ -220,7 +250,7 @@ def replay_against_oracle(cfg, seed, kinds):
             sovereign_legal_actions(state, mover, phase)
             if sovereign else legal_actions(state, mover)
         )
-        check_choice(mover, record.action, legal)
+        check_choice(mover, record.action, legal, record.key, record.step)
         assert record.reward == reward(state, record.action, rc)
         assert record.invasion == is_invasion(state, record.action)
         pre_state = state
@@ -233,7 +263,7 @@ def replay_against_oracle(cfg, seed, kinds):
         else:
             state = transition(state, record.action)
             legal_next = legal_actions(state, state.move)
-        if tables[mover] is None:
+        if not learns[mover]:
             continue
         delta = check_write(
             mover, record.key, record.action,
@@ -251,7 +281,6 @@ def replay_against_oracle(cfg, seed, kinds):
 
 
 def test_loop_matches_gamestate_oracle():
-    H, Q, R = AgentKind.HQLEARNER, AgentKind.QLEARNER, AgentKind.RANDOM
     runs = [
         (Variant.SOVEREIGN, 4, (H, H, H, H)),
         (Variant.SOVEREIGN, 4, (H, Q, R, H)),
@@ -266,8 +295,53 @@ def test_loop_matches_gamestate_oracle():
             size=size, players=len(kinds), agent_kinds=kinds,
             total_steps=2_000, bin_size=2_000, variant=variant,
         )
-        result = replay_against_oracle(cfg, 31, kinds)
+        result = replay_against_oracle(cfg, 31, [AgentSetup(k) for k in kinds])
         assert sum(result.invasions_per_player) > 0, (variant, size, kinds)
         if variant is Variant.SOVEREIGN:
             votes = [r for r in result.trace if isinstance(r, VoteRecord)]
             assert any(v.success for v in votes) and not all(v.success for v in votes)
+
+
+@st.composite
+def oracle_runs(draw):
+    """A short run of any size, variant, seat mix and reward signs, with
+    frozen seats holding a trained table and seats at a fixed eps."""
+    size = draw(st.integers(2, 6))
+    p = draw(st.integers(1, 4))
+    total = draw(st.integers(1, 300))
+    bin_size = draw(st.sampled_from([d for d in range(1, total + 1) if total % d == 0]))
+    with warnings.catch_warnings():  # a bonus above |penalty| only warns
+        warnings.simplefilter("ignore")
+        rewards = RewardConfig(
+            invasion_bonus=draw(st.integers(0, 40)),
+            invasion_penalty=draw(st.integers(-40, -1)),
+            vote_bonus=draw(st.integers(-20, 20)),
+            vote_penalty=draw(st.integers(-20, 20)),
+        )
+    unit = st.floats(0, 1)
+    kinds = tuple(draw(st.lists(st.sampled_from((H, Q, R)), min_size=p, max_size=p)))
+    cfg = RunConfig(
+        size=size, players=p, total_steps=total, bin_size=bin_size, trials=1,
+        agent_kinds=kinds, rewards=rewards,
+        hp=Hyperparams(alpha=draw(unit), gamma=draw(unit), eps0=draw(unit),
+                       eps_decay=draw(st.sampled_from((1.0, 0.999, 0.99)))),
+        variant=draw(st.sampled_from(list(Variant))),
+    )
+    seats = [
+        (draw(st.booleans()), draw(st.sampled_from((None, None, 0.0, 0.3, 1.0))))
+        for _ in range(p)
+    ]
+    trained = run_game(cfg, draw(st.integers(0, 99)), keep_tables=True).tables
+    setups = [
+        AgentSetup(kind, table=None if learn else trained[i], learn=learn,
+                   fixed_eps=eps)
+        for i, (kind, (learn, eps)) in enumerate(zip(kinds, seats))
+    ]
+    return cfg, setups
+
+
+@settings(max_examples=150, deadline=None)
+@given(run=oracle_runs(), seed=st.integers(0, 2**32))
+def test_generated_runs_match_gamestate_oracle(run, seed):
+    cfg, setups = run
+    replay_against_oracle(cfg, seed, setups)
