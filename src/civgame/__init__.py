@@ -19,7 +19,6 @@ from .game import (
     transition,
 )
 from .sovereign import (
-    VotePhase,
     sovereign_legal_actions,
     sovereign_transition,
     sovereign_reward,
@@ -73,7 +72,6 @@ __all__ = [
     "Thresholds",
     "TrialSummary",
     "Variant",
-    "VotePhase",
     "classify_policy",
     "count_states",
     "dump_qtable",

@@ -215,16 +215,12 @@ def run_game(
             table = None
         tables.append(table)
 
-    recv_tables = [
-        table if setup.kind is AgentKind.HQLEARNER and setup.learn else None
-        for table, setup in zip(tables, setups)
-    ]
-    any_receiver = any(t is not None for t in recv_tables)
     randoms = [s.kind is AgentKind.RANDOM for s in setups]
     fixed_eps = [s.fixed_eps for s in setups]
     learns = [s.learn and s.kind is not AgentKind.RANDOM for s in setups]
-    broadcasts = [s.kind is AgentKind.HQLEARNER and any_receiver for s in setups]
-    vote_learns = [s.learn and s.kind is AgentKind.HQLEARNER for s in setups]
+    # learning hq seats broadcast, receive broadcasts and learn from votes
+    hq = [s.learn and s.kind is AgentKind.HQLEARNER for s in setups]
+    recv_tables = [table if h else None for table, h in zip(tables, hq)]
 
     key = encode_state(initial_state(cfg.size, p))
     k = bytearray(key)
@@ -294,7 +290,7 @@ def run_game(
                 # learners: on success everyone updates as if it had
                 # deferred, on failure only the duped defer voters learn
                 # the penalty
-                if vote_learns[i] and (success or ballots[i] is Action.DEFER):
+                if hq[i] and (success or ballots[i] is Action.DEFER):
                     q_update(
                         tables[i], key, Action.DEFER, payouts[i],
                         next_key, legal, hp,
@@ -358,7 +354,7 @@ def run_game(
             # own ballot options there
             legal_next = legal if move != p else legal_of(i) + [Action.DEFER]
             delta = q_update(tables[i], key, action, r, next_key, legal_next, hp)
-            if broadcasts[i]:
+            if hq[i]:
                 pos[i] = loc  # the broadcast reads the cells of the pre-move key
                 ola_broadcast(recv_tables, key, pos, action, delta, i, hp)
                 pos[i] = dest
@@ -395,22 +391,21 @@ class TrialSummary:
     config: RunConfig
     trials: list[list[MetricsBin]]
     aggregates: dict[str, list[tuple[float, float, float]]] = field(
-        default_factory=dict
+        init=False, default_factory=dict
     )
 
     def __post_init__(self) -> None:
         starts = {tuple(b.bin_start for b in series) for series in self.trials}
         if len(starts) != 1:
             raise ValueError("trials disagree on bin boundaries")
-        if not self.aggregates:
-            for name in AGGREGATED_METRICS:
-                per_bin = []
-                for k in range(len(self.trials[0])):
-                    values = [getattr(series[k], name) for series in self.trials]
-                    per_bin.append(
-                        (statistics.median(values), min(values), max(values))
-                    )
-                self.aggregates[name] = per_bin
+        for name in AGGREGATED_METRICS:
+            per_bin = []
+            for k in range(len(self.trials[0])):
+                values = [getattr(series[k], name) for series in self.trials]
+                per_bin.append(
+                    (statistics.median(values), min(values), max(values))
+                )
+            self.aggregates[name] = per_bin
 
 
 def trial_seed(master_seed: int, trial: int) -> int:

@@ -14,7 +14,7 @@ import csv
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .agents import AgentKind, Hyperparams, QTable
 from .experiment import (
@@ -249,9 +249,6 @@ def train_policy(cfg: AnalysisConfig, kind: AgentKind) -> TrainedPolicy:
     return TrainedPolicy(tables=tables, final_eps=final_eps, alpha=alpha)
 
 
-MatchupFn = Callable[[Sequence[QTable], Sequence[float], int], list[float]]
-
-
 @dataclass
 class AnalysisResult:
     per_trial: list[PayoffMatrix]
@@ -273,14 +270,13 @@ def run_payoff_trials(
     cfg: AnalysisConfig,
     coop: TrainedPolicy,
     defect: TrainedPolicy,
-    matchup_fn: MatchupFn | None = None,
 ) -> AnalysisResult:
     """The three matchups, match_trials times; mixed runs both seatings.
 
     Tables are seat-bound (a state encodes who starts in which corner),
     so each table only ever plays in the seat it was trained in. The
     matchups only read the tables, so they run in up to cfg.workers
-    processes with the same results; a `matchup_fn` runs them inline.
+    processes with the same results.
     """
     if (
         classify_policy(coop.alpha, cfg.thresholds) is not PolicyClass.COOPERATIVE
@@ -306,12 +302,7 @@ def run_payoff_trials(
         for k in range(cfg.match_trials)
         for name in seatings
     ]
-    if matchup_fn is None:
-        payoffs = map_jobs(
-            _play_seating, jobs, cfg.workers, shared=(cfg, seatings)
-        )
-    else:
-        payoffs = [matchup_fn(*seatings[name], seed) for name, seed in jobs]
+    payoffs = map_jobs(_play_seating, jobs, cfg.workers, shared=(cfg, seatings))
 
     per_trial = []
     for k in range(cfg.match_trials):

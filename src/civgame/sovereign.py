@@ -4,14 +4,14 @@ The move counter gains an extra value m = p, on which all players cast a
 ballot simultaneously. A strict majority of DEFER ballots installs the
 sovereign for one cycle: everyone is forced to defer (stay put and farm)
 for the next p turns and everyone collects the vote bonus. A failed vote
-removes DEFER until the next vote and fines the players who were duped
-into deferring.
+fines the players who were duped into deferring. Ordinary turns offer
+DEFER only inside a forced cycle. The phase between votes is `forced`,
+the count of forced-defer turns left (0: open).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from enum import Enum
+from dataclasses import replace
 from typing import Sequence
 
 from .game import (
@@ -22,34 +22,6 @@ from .game import (
     apply_move,
     legal_actions,
 )
-
-
-class PhaseKind(Enum):
-    OPEN = "open"
-    FORCED_DEFER = "forced_defer"
-    SUPPRESSED = "suppressed"
-
-
-@dataclass(frozen=True, slots=True)
-class VotePhase:
-    """Between-vote bookkeeping: whether defer is forced, absent, or open."""
-
-    kind: PhaseKind
-    remaining: int = 0
-
-    @classmethod
-    def open(cls) -> "VotePhase":
-        return cls(PhaseKind.OPEN)
-
-    @classmethod
-    def forced(cls, remaining: int) -> "VotePhase":
-        if remaining < 1:
-            raise ValueError("forced-defer phase needs at least one turn")
-        return cls(PhaseKind.FORCED_DEFER, remaining)
-
-    @classmethod
-    def suppressed(cls) -> "VotePhase":
-        return cls(PhaseKind.SUPPRESSED)
 
 
 def is_vote_move(state: GameState) -> bool:
@@ -65,18 +37,24 @@ def vote_succeeds(ballots: Sequence[Action], players: int) -> bool:
     return vote_count(ballots) * 2 > players
 
 
+def _check_forced(state: GameState, forced: int) -> None:
+    if not 0 <= forced <= state.players:
+        raise ValueError(f"forced must be in 0..{state.players}, got {forced}")
+
+
 def sovereign_legal_actions(
-    state: GameState, player: int, phase: VotePhase
+    state: GameState, player: int, forced: int
 ) -> list[Action]:
     """Legal set in the sovereign variant.
 
-    At the vote move the ballot is the base set plus DEFER (a forced or
-    suppressed phase has always expired by then). On ordinary moves a
-    forced phase allows only DEFER and a suppressed phase the base set.
+    At the vote move the ballot is the base set plus DEFER (a forced
+    cycle has always expired by then). On ordinary moves a forced cycle
+    allows only DEFER and an open phase the base set.
     """
+    _check_forced(state, forced)
     if is_vote_move(state):
         return legal_actions(state, player) + [Action.DEFER]
-    if phase.kind is PhaseKind.FORCED_DEFER:
+    if forced:
         return [Action.DEFER]
     return legal_actions(state, player)
 
@@ -88,16 +66,19 @@ def _advance(move: int, players: int) -> int:
 def sovereign_transition(
     state: GameState,
     action_or_ballots: Action | Sequence[Action],
-    phase: VotePhase,
-) -> tuple[GameState, VotePhase]:
+    forced: int,
+) -> tuple[GameState, int]:
     """Piecewise transition: ballots at the vote move, one action otherwise.
 
-    A vote leaves the board and invaded flags untouched, sets the
-    sovereign flag to +1/-1, and resets the move to player 0. The flag
-    only carries the outcome to the payout step; consume_flag zeroes it
-    once the rewards have been disbursed. DEFER on an ordinary move keeps
-    the mover in place and farms.
+    The forced count becomes p after a passed vote, 0 after a failed one,
+    and one less (at least 0) after an ordinary move. A vote leaves the
+    board and invaded flags untouched, sets the sovereign flag to +1/-1,
+    and resets the move to player 0. The flag only carries the outcome
+    to the payout step; consume_flag zeroes it once the rewards have
+    been disbursed. DEFER on an ordinary move keeps the mover in place
+    and farms.
     """
+    _check_forced(state, forced)
     p = state.players
     if is_vote_move(state):
         if isinstance(action_or_ballots, Action):
@@ -108,13 +89,13 @@ def sovereign_transition(
                 f"ballot must have {p} entries, got {len(ballots)}"
             )
         if vote_succeeds(ballots, p):
-            return replace(state, flag=1, move=0), VotePhase.forced(p)
-        return replace(state, flag=-1, move=0), VotePhase.suppressed()
+            return replace(state, flag=1, move=0), p
+        return replace(state, flag=-1, move=0), 0
 
     if not isinstance(action_or_ballots, Action):
         raise IllegalActionError("ordinary move takes a single action")
     action = action_or_ballots
-    if action not in sovereign_legal_actions(state, state.move, phase):
+    if action not in sovereign_legal_actions(state, state.move, forced):
         raise IllegalActionError(
             f"{action.name} is not legal for player {state.move}"
         )
@@ -127,18 +108,7 @@ def sovereign_transition(
     else:
         board, invaded, _ = apply_move(state, action)
         next_state = replace(state, board=board, invaded=invaded, move=next_move)
-
-    if phase.kind is PhaseKind.FORCED_DEFER:
-        next_phase = (
-            VotePhase.open()
-            if phase.remaining <= 1
-            else VotePhase.forced(phase.remaining - 1)
-        )
-    elif phase.kind is PhaseKind.SUPPRESSED and next_move == p:
-        next_phase = VotePhase.open()  # suppression lasts until the next vote
-    else:
-        next_phase = phase
-    return next_state, next_phase
+    return next_state, max(forced - 1, 0)
 
 
 def consume_flag(state: GameState) -> GameState:

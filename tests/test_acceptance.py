@@ -48,7 +48,7 @@ from civgame.game import (
     transition,
 )
 from civgame.matrix import DilemmaClass, PayoffMatrix
-from civgame.sovereign import sovereign_transition, VotePhase
+from civgame.sovereign import sovereign_transition
 
 
 @contextmanager
@@ -229,9 +229,7 @@ def test_criterion_6_vote_semantics_exhaustive():
             )
             for ballots in product([Action.DEFER, Action.UP], repeat=players):
                 count = sum(b is Action.DEFER for b in ballots)
-                after, phase = sovereign_transition(
-                    vote_state, list(ballots), VotePhase.open()
-                )
+                after, phase = sovereign_transition(vote_state, list(ballots), 0)
                 succeeded = after.flag == 1
                 assert succeeded == (count > players / 2)
                 if players == 4:

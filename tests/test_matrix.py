@@ -193,46 +193,80 @@ def test_long_term_payoff_counts_votes_and_moves():
 # --- matchup plumbing -----------------------------------------------------------
 
 
-def make_policy(alpha):
-    return TrainedPolicy(tables=[QTable(), QTable()], final_eps=0.0, alpha=alpha)
+def make_policy(alpha, eps=0.0):
+    return TrainedPolicy(tables=[QTable(), QTable()], final_eps=eps, alpha=alpha)
 
 
-def stub_matchup(payoffs_by_call):
-    calls = iter(payoffs_by_call)
+@pytest.fixture
+def stub_matchup(monkeypatch):
+    """Replaces play_matchup; install(coop, defect, payoffs) arms it and
+    returns the list of seeds the fake is called with.
 
-    def fn(tables, eps_by_seat, seed):
-        return next(calls)
+    The fake returns the given per-seat payoffs in call order. Each call
+    must bring the seating that run_payoff_trials owes it, in the order
+    cc, dd, cd, dc per trial: the tables by identity and the eps by
+    value, with the mixed seatings split at half = p // 2.
+    """
 
-    return fn
+    def install(coop, defect, payoffs_by_call):
+        calls = iter(payoffs_by_call)
+        seeds = []  # one per call
+
+        def fake(cfg, tables, eps_by_seat, steps, seed, variant=None):
+            p, half = cfg.players, cfg.players // 2
+            c, d = coop.tables, defect.tables
+            ec, ed = [coop.final_eps] * p, [defect.final_eps] * p
+            want = [
+                (c, ec), (d, ed),
+                (c[:half] + d[half:], ec[:half] + ed[half:]),
+                (d[:half] + c[half:], ed[:half] + ec[half:]),
+            ][len(seeds) % 4]
+            seeds.append(seed)
+            assert len(tables) == p
+            assert all(t is w for t, w in zip(tables, want[0]))
+            assert list(eps_by_seat) == want[1]
+            assert steps == cfg.match_steps and variant is None
+            return next(calls), [0] * p, [0] * p
+
+        monkeypatch.setattr("civgame.matrix.play_matchup", fake)
+        return seeds
+
+    return install
 
 
-def test_payoff_matrix_reproduces_stub_values():
-    coop = make_policy(alpha=1.0)
-    defect = make_policy(alpha=30.0)
-    cfg = AnalysisConfig(match_trials=1, seed=5)
+def test_payoff_matrix_reproduces_stub_values(stub_matchup):
+    coop = make_policy(alpha=1.0, eps=0.01)
+    defect = make_policy(alpha=30.0, eps=0.2)
+    cfg = AnalysisConfig(match_trials=1, seed=5, workers=1)
     # calls per trial: cc, dd, cd, dc
-    fn = stub_matchup([[4.0, 4.0], [1.0, 1.0], [0.0, 3.0], [3.0, 0.0]])
-    m = run_payoff_trials(cfg, coop, defect, matchup_fn=fn).aggregate
+    calls = stub_matchup(
+        coop, defect, [[4.0, 4.0], [1.0, 1.0], [0.0, 3.0], [3.0, 0.0]]
+    )
+    m = run_payoff_trials(cfg, coop, defect).aggregate
+    assert len(calls) == 4
     assert (m.R, m.P, m.S, m.T) == (4.0, 1.0, 0.0, 3.0)
     assert m.classification is DilemmaClass.STAG_HUNT
 
 
-def test_payoff_matrix_averages_mixed_seatings():
-    coop = make_policy(alpha=0.0)
-    defect = make_policy(alpha=99.0)
-    cfg = AnalysisConfig(match_trials=1, seed=5)
-    fn = stub_matchup([[4.0, 4.0], [1.0, 1.0], [0.2, 3.0], [3.4, 0.4]])
-    m = run_payoff_trials(cfg, coop, defect, matchup_fn=fn).aggregate
+def test_payoff_matrix_averages_mixed_seatings(stub_matchup):
+    coop = make_policy(alpha=0.0, eps=0.01)
+    defect = make_policy(alpha=99.0, eps=0.2)
+    cfg = AnalysisConfig(match_trials=1, seed=5, workers=1)
+    stub_matchup(
+        coop, defect, [[4.0, 4.0], [1.0, 1.0], [0.2, 3.0], [3.4, 0.4]]
+    )
+    m = run_payoff_trials(cfg, coop, defect).aggregate
     assert m.S == pytest.approx(0.3)  # (0.2 + 0.4) / 2
     assert m.T == pytest.approx(3.2)  # (3.0 + 3.4) / 2
 
 
-def test_payoff_matrix_rejects_misclassified_inputs():
+def test_payoff_matrix_rejects_misclassified_inputs(stub_matchup):
     coop = make_policy(alpha=10.0)  # in the gap
     defect = make_policy(alpha=30.0)
-    cfg = AnalysisConfig(match_trials=1)
+    cfg = AnalysisConfig(match_trials=1, workers=1)
+    calls = stub_matchup(coop, defect, [])
     with pytest.raises(PolicyClassificationError) as err:
-        run_payoff_trials(cfg, coop, defect, matchup_fn=stub_matchup([]))
+        run_payoff_trials(cfg, coop, defect)
     assert (err.value.coop_alpha, err.value.defect_alpha) == (10.0, 30.0)
     assert err.value.thresholds == cfg.thresholds
     assert str(err.value) == (
@@ -240,25 +274,23 @@ def test_payoff_matrix_rejects_misclassified_inputs():
         "defecting alpha=30.000 (thresholds 5.0/15.0)"
     )
     with pytest.raises(PolicyClassificationError):
-        run_payoff_trials(
-            cfg,
-            make_policy(alpha=0.0),
-            make_policy(alpha=10.0),
-            matchup_fn=stub_matchup([]),
-        )
+        run_payoff_trials(cfg, make_policy(alpha=0.0), make_policy(alpha=10.0))
+    assert calls == []
 
 
-def test_run_payoff_trials_aggregate_and_fraction(tmp_path):
-    coop = make_policy(alpha=1.0)
-    defect = make_policy(alpha=30.0)
-    cfg = AnalysisConfig(match_trials=2, seed=5)
-    fn = stub_matchup(
+def test_run_payoff_trials_aggregate_and_fraction(tmp_path, stub_matchup):
+    coop = make_policy(alpha=1.0, eps=0.01)
+    defect = make_policy(alpha=30.0, eps=0.2)
+    cfg = AnalysisConfig(match_trials=2, seed=5, workers=1)
+    stub_matchup(
+        coop,
+        defect,
         [
             [4.0, 4.0], [1.0, 1.0], [0.0, 3.0], [3.0, 0.0],  # stag hunt
             [3.0, 3.0], [1.0, 1.0], [0.0, 4.0], [4.0, 0.0],  # prisoner's
-        ]
+        ],
     )
-    result = run_payoff_trials(cfg, coop, defect, matchup_fn=fn)
+    result = run_payoff_trials(cfg, coop, defect)
     assert [m.classification for m in result.per_trial] == [
         DilemmaClass.STAG_HUNT,
         DilemmaClass.PRISONERS_DILEMMA,

@@ -162,7 +162,6 @@ def replay_against_oracle(cfg, seed, setups):
     from civgame.game import encode_state, initial_state, is_invasion, legal_actions
     from civgame.game import transition
     from civgame.sovereign import (
-        VotePhase,
         consume_flag,
         sovereign_legal_actions,
         sovereign_reward,
@@ -224,7 +223,7 @@ def replay_against_oracle(cfg, seed, setups):
         best = max(value(i, next_key, a) for a in legal_next)
         return hp.alpha * (r + hp.gamma * best)
 
-    state, phase = initial_state(cfg.size, p), VotePhase.open()
+    state, phase = initial_state(cfg.size, p), 0
     for record in result.trace:
         assert record.key == encode_state(state)
         if isinstance(record, VoteRecord):
