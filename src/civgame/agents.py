@@ -194,7 +194,7 @@ def ola_broadcast(
         table.blend(bytes(swapped), action, delta, hp.alpha)
 
 
-def dump_qtable(q: QTable, fp: IO[str] | None = None) -> str:
+def dump_qtable(q: QTable) -> str:
     """Serialize as `state-key-hex<TAB>action<TAB>value` lines, sorted."""
     lines = []
     for key, row in q.rows.items():
@@ -202,10 +202,7 @@ def dump_qtable(q: QTable, fp: IO[str] | None = None) -> str:
         for a in Action:
             lines.append(f"{hexkey}\t{a.name.lower()}\t{row[a]:.17g}")
     lines.sort()
-    text = "\n".join(lines) + ("\n" if lines else "")
-    if fp is not None:
-        fp.write(text)
-    return text
+    return "\n".join(lines) + ("\n" if lines else "")
 
 
 def load_qtable(lines: Iterable[str] | IO[str]) -> QTable:

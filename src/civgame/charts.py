@@ -26,7 +26,6 @@ MARGIN_T = 34
 MARGIN_B = 36
 COLORS = ["#2b6cb0", "#c53030", "#2f855a", "#b7791f", "#6b46c1", "#4a5568"]
 BAND_FILL = "#2b6cb0"
-ACTION_NAMES = ["up", "down", "left", "right", "stay", "defer"]
 
 
 def _fmt(v: float) -> str:
@@ -171,12 +170,13 @@ def _render_learning_curve(path: str, rows: list[dict]) -> str:
 
 def _render_actions(path: str, rows: list[dict]) -> str:
     """One panel per player, six action-count series each (trial 0)."""
+    names = ACTIONS_HEADER[3:]
     by_player: dict[int, dict[int, list[int]]] = defaultdict(dict)
     for n, row in enumerate(rows, start=1):
         try:
             if int(row["trial"]) != 0:
                 continue
-            counts = [int(row[name]) for name in ACTION_NAMES]
+            counts = [int(row[name]) for name in names]
             by_player[int(row["player"])][int(row["bin_start"])] = counts
         except (TypeError, ValueError) as exc:
             raise ChartError(f"{path}: malformed actions data row {n}: {exc}")
@@ -188,7 +188,7 @@ def _render_actions(path: str, rows: list[dict]) -> str:
         xs = sorted(bins)
         series = [
             (name, COLORS[a], [float(bins[x][a]) for x in xs])
-            for a, name in enumerate(ACTION_NAMES)
+            for a, name in enumerate(names)
         ]
         panels.append(
             _panel(f"player {player} actions per bin", xs, series, None,

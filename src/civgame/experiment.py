@@ -12,7 +12,6 @@ import csv
 import hashlib
 import os
 import random
-import statistics
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
@@ -155,7 +154,6 @@ class AgentSetup:
 class RunResult:
     bins: list[MetricsBin]
     rewards_per_player: list[int]
-    moves_per_player: list[int]
     invasions_per_player: list[int]
     final_eps: float
     tables: list[QTable | None] | None = None
@@ -165,6 +163,14 @@ class RunResult:
     def total_reward(self) -> int:
         """Everything the environment paid out, summed over the seats."""
         return sum(self.rewards_per_player)
+
+    @property
+    def moves_per_player(self) -> list[int]:
+        """Each seat's moves, ballots included: its action counts summed."""
+        return [
+            sum(sum(b.action_counts[i]) for b in self.bins)
+            for i in range(len(self.rewards_per_player))
+        ]
 
 
 def stream_seed(trial_seed: int, label: str) -> int:
@@ -241,7 +247,6 @@ def run_game(
     ]
     trace: list[MoveRecord | VoteRecord] | None = [] if keep_trace else None
     rewards_per_player = [0] * p
-    moves_per_player = [0] * p
     invasions_per_player = [0] * p
 
     # per cell, each on-board movement and the key offset of its destination
@@ -261,7 +266,7 @@ def run_game(
             ci = sum(k[invaded_at:move_at])
             ballots = []
             for i in range(p):
-                options = legal_of(i) + [Action.DEFER]
+                options = ballot_options[i]
                 rng = rngs[i]
                 if randoms[i]:
                     ballots.append(options[rng.randrange(len(options))])
@@ -301,7 +306,6 @@ def run_game(
             for i in range(p):
                 b.action_counts[i][ballots[i]] += 1
                 rewards_per_player[i] += payouts[i]
-                moves_per_player[i] += 1
             if trace is not None:
                 trace.append(
                     VoteRecord(t, key, ballots, payouts, success, ci)
@@ -346,21 +350,22 @@ def run_game(
         next_key = bytes(k)
         if forced:
             forced -= 1
-        if move != p:
+        if move == p:
+            # every seat's ballot options at the coming vote; the mover's
+            # own are the max of its pre-vote update
+            ballot_options = [legal_of(j) + [Action.DEFER] for j in range(p)]
+            legal = ballot_options[i]
+        else:
             legal = [Action.DEFER] if forced else legal_of(move)
 
         if learns[i]:
-            # before the vote the max ranges over the updating agent's
-            # own ballot options there
-            legal_next = legal if move != p else legal_of(i) + [Action.DEFER]
-            delta = q_update(tables[i], key, action, r, next_key, legal_next, hp)
+            delta = q_update(tables[i], key, action, r, next_key, legal, hp)
             if hq[i]:
                 pos[i] = loc  # the broadcast reads the cells of the pre-move key
                 ola_broadcast(recv_tables, key, pos, action, delta, i, hp)
                 pos[i] = dest
 
         rewards_per_player[i] += r
-        moves_per_player[i] += 1
         invasions_per_player[i] += invasion
         b.cs_sum += r
         b.action_counts[i][action] += 1
@@ -373,7 +378,6 @@ def run_game(
     return RunResult(
         bins=bins,
         rewards_per_player=rewards_per_player,
-        moves_per_player=moves_per_player,
         invasions_per_player=invasions_per_player,
         final_eps=epsilon_at(cfg.total_steps, hp),
         tables=tables if keep_tables else None,
@@ -381,39 +385,24 @@ def run_game(
     )
 
 
-AGGREGATED_METRICS = ("cs_sum", "cs_avg", "invasions", "successful_defers")
-
-
 @dataclass
 class TrialSummary:
-    """Per-trial bin series plus per-bin median/min/max across trials."""
+    """Each trial's bin series; all trials share the bin boundaries."""
 
     config: RunConfig
     trials: list[list[MetricsBin]]
-    aggregates: dict[str, list[tuple[float, float, float]]] = field(
-        init=False, default_factory=dict
-    )
 
     def __post_init__(self) -> None:
         starts = {tuple(b.bin_start for b in series) for series in self.trials}
         if len(starts) != 1:
             raise ValueError("trials disagree on bin boundaries")
-        for name in AGGREGATED_METRICS:
-            per_bin = []
-            for k in range(len(self.trials[0])):
-                values = [getattr(series[k], name) for series in self.trials]
-                per_bin.append(
-                    (statistics.median(values), min(values), max(values))
-                )
-            self.aggregates[name] = per_bin
 
 
 def trial_seed(master_seed: int, trial: int) -> int:
     return master_seed + trial
 
 
-def _run_trial_bins(args: tuple[RunConfig, int]) -> list[MetricsBin]:
-    cfg, k = args
+def _run_trial_bins(cfg: RunConfig, k: int) -> list[MetricsBin]:
     return run_game(cfg, trial_seed(cfg.seed, k)).bins
 
 
@@ -452,8 +441,9 @@ def map_jobs(
 
 def run_trials(cfg: RunConfig) -> TrialSummary:
     """Run cfg.trials seeded trials, in up to cfg.workers processes."""
-    jobs = [(cfg, k) for k in range(cfg.trials)]
-    series = map_jobs(_run_trial_bins, jobs, cfg.workers)
+    series = map_jobs(
+        _run_trial_bins, range(cfg.trials), cfg.workers, shared=(cfg,)
+    )
     return TrialSummary(config=cfg, trials=series)
 
 
@@ -461,8 +451,7 @@ LEARNING_CURVE_HEADER = [
     "trial", "bin_start", "cs_sum", "cs_avg", "invasions", "successful_defers",
 ]
 ACTIONS_HEADER = [
-    "trial", "bin_start", "player",
-    "up", "down", "left", "right", "stay", "defer",
+    "trial", "bin_start", "player", *(a.name.lower() for a in Action)
 ]
 
 

@@ -299,7 +299,10 @@ def test_criterion_8_learning_reproduction():
         elapsed = time.perf_counter() - t0
 
         # (a) random baseline: per-bin median CS average negative in >=90% of bins
-        random_medians = [m for m, _, _ in summaries[AgentKind.RANDOM].aggregates["cs_avg"]]
+        random_medians = [
+            statistics.median(b.cs_avg for b in per_bin)
+            for per_bin in zip(*summaries[AgentKind.RANDOM].trials)
+        ]
         negative = sum(1 for m in random_medians if m < 0)
         assert negative >= 0.9 * len(random_medians)
 

@@ -1,12 +1,14 @@
 """Harness: binning, traces, determinism, aggregation, CSV round-trips."""
 
 import csv
-import statistics
+import re
 
 import pytest
 
+from civgame import charts
 from civgame.agents import AgentKind
 from civgame.experiment import (
+    LEARNING_CURVE_HEADER,
     AgentSetup,
     MetricsBin,
     MoveRecord,
@@ -209,21 +211,53 @@ def test_random_tables_never_created():
     assert res.tables == [None] * 4
 
 
-def test_trial_summary_degenerate_single_trial():
-    cfg = small_cfg(trials=1)
-    summary = run_trials(cfg)
-    for metric, series in summary.aggregates.items():
-        for med, lo, hi in series:
-            assert med == lo == hi
+def _write_curve(path, cs_avgs_per_trial):
+    """A learning_curve.csv of 500-step bins with these cs_avg series."""
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        w = csv.writer(f, lineterminator="\n")
+        w.writerow(LEARNING_CURVE_HEADER)
+        for trial, series in enumerate(cs_avgs_per_trial):
+            for k, avg in enumerate(series):
+                w.writerow([trial, k * 500, avg * 500, avg, 0, 0])
 
 
-def test_trial_summary_median_min_max():
-    cfg = small_cfg(total_steps=1_000, bin_size=500, trials=3)
-    summary = run_trials(cfg)
-    for k in range(2):
-        values = sorted(series[k].cs_avg for series in summary.trials)
-        med, lo, hi = summary.aggregates["cs_avg"][k]
-        assert (med, lo, hi) == (statistics.median(values), values[0], values[-1])
+def _points(svg, tag):
+    """The points of the first <tag> element: the cs_avg panel's."""
+    return re.search(f'<{tag} points="([^"]*)"', svg).group(1)
+
+
+def _panel_points(xs, ys, lo, hi):
+    """charts' pixel text for (x, y) pairs in the top panel, y range lo..hi."""
+    x_lo, x_hi = min(xs), max(xs)
+    bottom, top = charts.PANEL_H - charts.MARGIN_B, charts.MARGIN_T
+    x_px_lo, x_px_hi = charts.MARGIN_L, charts.PANEL_W - charts.MARGIN_R
+    return " ".join(
+        f"{charts._fmt(x_px_lo + (x - x_lo) / (x_hi - x_lo) * (x_px_hi - x_px_lo))},"
+        f"{charts._fmt(bottom + (y - lo) / (hi - lo) * (top - bottom))}"
+        for x, y in zip(xs, ys)
+    )
+
+
+def test_trial_summary_degenerate_single_trial(tmp_path):
+    path = tmp_path / "learning_curve.csv"
+    values = [0.5, -1.5, 2.0]
+    _write_curve(path, [values])
+    svg = charts.render_csv(str(path))
+    # one trial: the line is the raw series and there is no band
+    assert _points(svg, "polyline") == _panel_points([0, 500, 1000], values, -1.5, 2.0)
+    assert "<polygon" not in svg
+
+
+def test_trial_summary_median_min_max(tmp_path):
+    path = tmp_path / "learning_curve.csv"
+    # per bin, the median differs from the mean
+    _write_curve(path, [[-1.0, 3.0], [0.0, -2.0], [4.0, 1.0]])
+    svg = charts.render_csv(str(path))
+    xs, lo, hi = [0, 500], -2.0, 4.0
+    assert _points(svg, "polyline") == _panel_points(xs, [0.0, 1.0], lo, hi)
+    # the band runs along the maxima, then back along the minima
+    band = _panel_points(xs + xs[::-1], [4.0, 3.0, -2.0, -1.0], lo, hi)
+    assert _points(svg, "polygon") == band
 
 
 def test_parallel_trials_match_sequential():
