@@ -57,14 +57,11 @@ class QTable:
     of a key without a row sees all zeros and leaves the table as it is.
     Unreinforced entries are therefore exact ties, and the uniform
     tie-breaking in select_action keeps unlearned choices stochastic.
-    `write_log`, when set to a list, records (key, action, old, new,
-    delta) for every learning write.
     """
 
     def __init__(self) -> None:
         self.rows: dict[bytes, list[float]] = {}
         self.writes = 0
-        self.write_log: list | None = None
 
     def value(self, key: bytes, action: Action) -> float:
         return self.rows.get(key, _ZERO_ROW)[action]
@@ -80,12 +77,8 @@ class QTable:
         row = self.rows.get(key)
         if row is None:
             row = self.rows[key] = [0.0] * NUM_ACTIONS
-        old = row[action]
-        new = (1.0 - alpha) * old + delta
-        row[action] = new
+        row[action] = (1.0 - alpha) * row[action] + delta
         self.writes += 1
-        if self.write_log is not None:
-            self.write_log.append((key, action, old, new, delta))
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -102,21 +95,33 @@ def select_action(
 
     `key` is an encode_state key. Only reads the table: a key without a
     row reads as all zeros, so every legal action ties. Each call draws
-    rng.random() once, then one randrange to explore or to break a tie
-    among two or more actions.
+    rng.random() once, then one index to explore or to break a tie among
+    two or more actions. The index is drawn inline by the rejection loop
+    of CPython's rng.randrange(n), so it equals randrange(n) and uses the
+    same draws; tests/test_agents.py::test_select_action_matches_randrange
+    pins this.
     """
     if not legal:
         raise ValueError("legal action set is empty")
     if rng.random() < eps:
-        return legal[rng.randrange(len(legal))]
-    row = q.rows.get(key)
-    if row is None:
-        ties = legal
+        choices = legal
     else:
-        values = [row[a] for a in legal]
-        best = max(values)
-        ties = [a for a, v in zip(legal, values) if v == best]
-    return ties[0] if len(ties) == 1 else ties[rng.randrange(len(ties))]
+        row = q.rows.get(key)
+        if row is None:
+            choices = legal
+        else:
+            values = [row[a] for a in legal]
+            best = max(values)
+            choices = [a for a, v in zip(legal, values) if v == best]
+        if len(choices) == 1:
+            return choices[0]
+    n = len(choices)
+    getrandbits = rng.getrandbits
+    bits = n.bit_length()
+    r = getrandbits(bits)
+    while r >= n:
+        r = getrandbits(bits)
+    return choices[r]
 
 
 def q_update(
@@ -134,8 +139,9 @@ def q_update(
     """
     row = q.rows.get(s_next_key)
     best = 0.0 if row is None else max([row[a] for a in legal_next])
-    delta = hp.alpha * (r + hp.gamma * best)
-    q.blend(s_key, action, delta, hp.alpha)
+    alpha = hp.alpha
+    delta = alpha * (r + hp.gamma * best)
+    q.blend(s_key, action, delta, alpha)
     return delta
 
 
@@ -178,20 +184,30 @@ def ola_broadcast(
     disabled for that seat) are skipped.
     """
     invaded_at, move_at, _ = key_offsets(key[0], key[1])
+    alpha = hp.alpha
     mover_at = BOARD_OFFSET + cells[mover]
+    mover_flag_at = invaded_at + mover
     mover_cell = key[mover_at]
-    mover_flag = key[invaded_at + mover]
+    mover_flag = key[mover_flag_at]
+    swapped = bytearray(key)
     for i, table in enumerate(tables):
         if i == mover or table is None:
             continue
         at = BOARD_OFFSET + cells[i]
-        swapped = bytearray(key)
+        flag_at = invaded_at + i
+        cell, flag = key[at], key[flag_at]
         swapped[at] = mover_cell
-        swapped[mover_at] = key[at]
-        swapped[invaded_at + i] = mover_flag
-        swapped[invaded_at + mover] = key[invaded_at + i]
+        swapped[mover_at] = cell
+        swapped[flag_at] = mover_flag
+        swapped[mover_flag_at] = flag
         swapped[move_at] = i
-        table.blend(bytes(swapped), action, delta, hp.alpha)
+        table.blend(bytes(swapped), action, delta, alpha)
+        # back to the pre-move key for the next observer; the move byte
+        # is set anew each time
+        swapped[at] = cell
+        swapped[mover_at] = mover_cell
+        swapped[flag_at] = flag
+        swapped[mover_flag_at] = mover_flag
 
 
 def dump_qtable(q: QTable) -> str:

@@ -12,7 +12,6 @@ import csv
 import hashlib
 import os
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
@@ -257,123 +256,130 @@ def run_game(
         acts = [a for a, at in steps[pos[i]] if k[at] < occ0]
         return acts or [Action.STAY]
 
+    eps0, decay = hp.eps0, hp.eps_decay
+    defer, stay = Action.DEFER, Action.STAY
+    vote_passed = (rc.vote_bonus,) * p
     move = 0
     legal = legal_of(0)  # the legal set of the seat to move
-    for t in range(cfg.total_steps):
-        b = bins[t // cfg.bin_size]
-        eps = epsilon_at(t, hp)
-        if move == p:  # the sovereign vote
-            ci = sum(k[invaded_at:move_at])
-            ballots = []
-            for i in range(p):
-                options = ballot_options[i]
-                rng = rngs[i]
-                if randoms[i]:
-                    ballots.append(options[rng.randrange(len(options))])
+    for b in bins:
+        counts = b.action_counts
+        for t in range(b.bin_start, b.bin_start + b.bin_size):
+            eps = eps0 * decay**t  # epsilon_at(t, hp)
+            if move == p:  # the sovereign vote
+                ci = sum(k[invaded_at:move_at])
+                ballots = []
+                for i in range(p):
+                    options = ballot_options[i]
+                    rng = rngs[i]
+                    if randoms[i]:
+                        ballots.append(options[rng.randrange(len(options))])
+                    else:
+                        seat_eps = fixed_eps[i]
+                        ballots.append(select_action(
+                            tables[i], key, options,
+                            eps if seat_eps is None else seat_eps, rng,
+                        ))
+                ballots = tuple(ballots)
+                success = vote_succeeds(ballots, p)
+                if success:
+                    payouts = vote_passed
                 else:
-                    seat_eps = fixed_eps[i]
-                    ballots.append(select_action(
-                        tables[i], key, options,
-                        eps if seat_eps is None else seat_eps, rng,
-                    ))
-            ballots = tuple(ballots)
-            success = vote_succeeds(ballots, p)
-            if success:
-                payouts = (rc.vote_bonus,) * p
-            else:
-                payouts = tuple(
-                    rc.vote_penalty if a is Action.DEFER else 0 for a in ballots
-                )
-            # the sovereign flag is zeroed within the vote step, so only
-            # the move byte changes
-            move = k[move_at] = 0
-            next_key = bytes(k)
-            forced = p if success else 0
-            legal = [Action.DEFER] if success else legal_of(0)
-            for i in range(p):
-                # vote payouts cause a Q-update only for sovereign-aware
-                # learners: on success everyone updates as if it had
-                # deferred, on failure only the duped defer voters learn
-                # the penalty
-                if hq[i] and (success or ballots[i] is Action.DEFER):
-                    q_update(
-                        tables[i], key, Action.DEFER, payouts[i],
-                        next_key, legal, hp,
+                    payouts = tuple(
+                        rc.vote_penalty if a is defer else 0 for a in ballots
                     )
-            b.cs_sum += sum(payouts)
-            b.invasions += ci
-            b.successful_defers += success
-            for i in range(p):
-                b.action_counts[i][ballots[i]] += 1
-                rewards_per_player[i] += payouts[i]
-            if trace is not None:
-                trace.append(
-                    VoteRecord(t, key, ballots, payouts, success, ci)
+                # the sovereign flag is zeroed within the vote step, so
+                # only the move byte changes
+                move = k[move_at] = 0
+                next_key = bytes(k)
+                forced = p if success else 0
+                legal = [defer] if success else legal_of(0)
+                for i in range(p):
+                    # vote payouts cause a Q-update only for sovereign-aware
+                    # learners: on success everyone updates as if it had
+                    # deferred, on failure only the duped defer voters
+                    # learn the penalty
+                    if hq[i] and (success or ballots[i] is defer):
+                        q_update(
+                            tables[i], key, defer, payouts[i],
+                            next_key, legal, hp,
+                        )
+                b.cs_sum += sum(payouts)
+                b.invasions += ci
+                b.successful_defers += success
+                for i in range(p):
+                    counts[i][ballots[i]] += 1
+                    rewards_per_player[i] += payouts[i]
+                if trace is not None:
+                    trace.append(
+                        VoteRecord(t, key, ballots, payouts, success, ci)
+                    )
+                key = next_key
+                continue
+
+            i = move
+            ci = sum(k[invaded_at:move_at]) if not sovereign and i == 0 else -1
+            rng = rngs[i]
+            if randoms[i]:
+                action = legal[rng.randrange(len(legal))]
+            else:
+                seat_eps = fixed_eps[i]
+                action = select_action(
+                    tables[i], key, legal,
+                    eps if seat_eps is None else seat_eps, rng,
                 )
+            # reward terms from the pre-move bytes: farming, then (unless
+            # a forced defer) the invaded penalty and the invasion bonus
+            r = terr[i]
+            invasion = False
+            loc = dest = pos[i]
+            if action is not defer:
+                if k[invaded_at + i]:
+                    r += penalty
+                if action is not stay:
+                    dest = nbrs[loc][action]
+                    # unowned or territory, never occupied
+                    cell = k[board_at + dest]
+                    if cell != UNOWNED:
+                        owner = cell - terr0
+                        terr[owner] -= 1
+                        if owner != i:
+                            invasion = True
+                            r += bonus
+                            k[invaded_at + owner] = 1
+                    k[board_at + dest] = occ0 + i
+                    k[board_at + loc] = terr0 + i
+                    terr[i] += 1
+                    pos[i] = dest
+            k[invaded_at + i] = 0
+            move = k[move_at] = (i + 1) % cycle
+            next_key = bytes(k)
+            if forced:
+                forced -= 1
+            if move == p:
+                # every seat's ballot options at the coming vote; the
+                # mover's own are the max of its pre-vote update
+                ballot_options = [legal_of(j) + [defer] for j in range(p)]
+                legal = ballot_options[i]
+            else:
+                legal = [defer] if forced else legal_of(move)
+
+            if learns[i]:
+                delta = q_update(tables[i], key, action, r, next_key, legal, hp)
+                if hq[i]:
+                    # the broadcast reads the cells of the pre-move key
+                    pos[i] = loc
+                    ola_broadcast(recv_tables, key, pos, action, delta, i, hp)
+                    pos[i] = dest
+
+            rewards_per_player[i] += r
+            invasions_per_player[i] += invasion
+            b.cs_sum += r
+            counts[i][action] += 1
+            if ci >= 0:
+                b.invasions += ci
+            if trace is not None:
+                trace.append(MoveRecord(t, i, key, action, r, invasion, ci))
             key = next_key
-            continue
-
-        i = move
-        ci = sum(k[invaded_at:move_at]) if not sovereign and i == 0 else -1
-        rng = rngs[i]
-        if randoms[i]:
-            action = legal[rng.randrange(len(legal))]
-        else:
-            seat_eps = fixed_eps[i]
-            action = select_action(
-                tables[i], key, legal, eps if seat_eps is None else seat_eps, rng
-            )
-        # reward terms from the pre-move bytes: farming, then (unless a
-        # forced defer) the invaded penalty and the invasion bonus
-        r = terr[i]
-        invasion = False
-        loc = dest = pos[i]
-        if action is not Action.DEFER:
-            if k[invaded_at + i]:
-                r += penalty
-            if action is not Action.STAY:
-                dest = nbrs[loc][action]
-                cell = k[board_at + dest]  # unowned or territory, never occupied
-                if cell != UNOWNED:
-                    owner = cell - terr0
-                    terr[owner] -= 1
-                    if owner != i:
-                        invasion = True
-                        r += bonus
-                        k[invaded_at + owner] = 1
-                k[board_at + dest] = occ0 + i
-                k[board_at + loc] = terr0 + i
-                terr[i] += 1
-                pos[i] = dest
-        k[invaded_at + i] = 0
-        move = k[move_at] = (i + 1) % cycle
-        next_key = bytes(k)
-        if forced:
-            forced -= 1
-        if move == p:
-            # every seat's ballot options at the coming vote; the mover's
-            # own are the max of its pre-vote update
-            ballot_options = [legal_of(j) + [Action.DEFER] for j in range(p)]
-            legal = ballot_options[i]
-        else:
-            legal = [Action.DEFER] if forced else legal_of(move)
-
-        if learns[i]:
-            delta = q_update(tables[i], key, action, r, next_key, legal, hp)
-            if hq[i]:
-                pos[i] = loc  # the broadcast reads the cells of the pre-move key
-                ola_broadcast(recv_tables, key, pos, action, delta, i, hp)
-                pos[i] = dest
-
-        rewards_per_player[i] += r
-        invasions_per_player[i] += invasion
-        b.cs_sum += r
-        b.action_counts[i][action] += 1
-        if ci >= 0:
-            b.invasions += ci
-        if trace is not None:
-            trace.append(MoveRecord(t, i, key, action, r, invasion, ci))
-        key = next_key
 
     return RunResult(
         bins=bins,
@@ -433,6 +439,9 @@ def map_jobs(
     size = min(workers, len(jobs), os.cpu_count() or 1)
     if size <= 1:
         return [fn(*shared, job) for job in jobs]
+    # imported here so that a run without a pool never loads multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(
         max_workers=size, initializer=_share, initargs=(shared,)
     ) as pool:

@@ -29,7 +29,7 @@ def is_vote_move(state: GameState) -> bool:
 
 
 def vote_count(ballots: Sequence[Action]) -> int:
-    return sum(1 for a in ballots if a == Action.DEFER)
+    return list(ballots).count(Action.DEFER)
 
 
 def vote_succeeds(ballots: Sequence[Action], players: int) -> bool:

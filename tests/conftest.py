@@ -1,6 +1,25 @@
-"""Fixtures shared by the test modules."""
+"""Fixtures and helpers shared by the test modules."""
 
 import pytest
+
+from civgame.agents import QTable
+
+
+class LoggingQTable(QTable):
+    """A QTable that records every learning write.
+
+    `write_log` gets (key, action, old, new, delta) for each `blend`,
+    with the value before and after the write.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.write_log: list = []
+
+    def blend(self, key, action, delta, alpha):
+        old = self.value(key, action)
+        super().blend(key, action, delta, alpha)
+        self.write_log.append((key, action, old, self.rows[key][action], delta))
 
 
 @pytest.fixture
@@ -27,7 +46,8 @@ def fake_pool(monkeypatch):
         def map(self, fn, jobs):
             return map(fn, jobs)
 
-    monkeypatch.setattr("civgame.experiment.ProcessPoolExecutor", InlinePool)
+    # map_jobs imports the pool class from here when it makes a pool
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InlinePool)
     # the initializer runs here, so restore what it sets
     monkeypatch.setattr("civgame.experiment._shared_args", ())
     monkeypatch.setattr("civgame.experiment.os.cpu_count", lambda: 64)

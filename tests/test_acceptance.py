@@ -49,6 +49,7 @@ from civgame.game import (
 )
 from civgame.matrix import DilemmaClass, PayoffMatrix
 from civgame.sovereign import sovereign_transition
+from conftest import LoggingQTable
 
 
 @contextmanager
@@ -182,9 +183,7 @@ def test_criterion_5_ola_write_pattern():
             seed=77,
             variant=Variant.BASE,  # every turn is an ordinary OLA turn
         )
-        tables = [QTable() for _ in range(4)]
-        for table in tables:
-            table.write_log = []
+        tables = [LoggingQTable() for _ in range(4)]
         setups = [AgentSetup(kind=AgentKind.HQLEARNER, table=t) for t in tables]
         result = run_game(cfg, 77, setups=setups, keep_trace=True)
 

@@ -24,6 +24,7 @@ from civgame.agents import (
 )
 from civgame.experiment import AgentSetup, RunConfig, Variant, VoteRecord, run_game
 from civgame.game import Action, GameState, encode_state, initial_state, occupied_cell
+from conftest import LoggingQTable
 
 HP = Hyperparams()
 
@@ -98,6 +99,43 @@ def test_select_breaks_ties_uniformly():
 def test_select_rejects_empty_legal():
     with pytest.raises(ValueError):
         select_action(QTable(), b"s", [], 0.5, random.Random(0))
+
+
+def randrange_select_action(q, key, legal, eps, rng):
+    """select_action as it was written with rng.randrange: the oracle."""
+    if rng.random() < eps:
+        return legal[rng.randrange(len(legal))]
+    row = q.rows.get(key)
+    if row is None:
+        ties = legal
+    else:
+        values = [row[a] for a in legal]
+        best = max(values)
+        ties = [a for a, v in zip(legal, values) if v == best]
+    return ties[0] if len(ties) == 1 else ties[rng.randrange(len(ties))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32),
+    legal=st.lists(st.sampled_from(list(Action)), min_size=1, max_size=6, unique=True),
+    # few distinct values, so that rows often hold ties
+    row=st.none() | st.lists(st.sampled_from((0.0, 1.0, 2.0)), min_size=6, max_size=6),
+    eps=st.sampled_from((0.0, 0.3, 1.0)),
+)
+def test_select_action_matches_randrange(seed, legal, row, eps):
+    """The inline draw picks what randrange(n) picks, with the same
+    draws: over a run of calls the actions agree and both streams stay
+    in the same state. A row of None means the key has no row."""
+    q = QTable()
+    if row is not None:
+        q.rows[b"s"] = row
+    rng, oracle_rng = random.Random(seed), random.Random(seed)
+    for _ in range(20):
+        action = select_action(q, b"s", legal, eps, rng)
+        assert action == randrange_select_action(q, b"s", legal, eps, oracle_rng)
+        assert rng.getstate() == oracle_rng.getstate()
+    assert q.rows == ({} if row is None else {b"s": row})
 
 
 def test_reads_never_add_rows():
@@ -258,19 +296,14 @@ def test_broadcast_blends_mover_delta_verbatim():
 
 def test_broadcast_write_counts():
     s = initial_state(4, 4)
-    tables = [QTable() for i in range(4)]
-    for t in tables:
-        t.write_log = []
+    tables = [LoggingQTable() for i in range(4)]
     ola_broadcast(tables, encode_state(s), cells(s), Action.DOWN, 1.0, 2, HP)
     assert [len(t.write_log) for t in tables] == [1, 1, 0, 1]
 
 
 def test_broadcast_skips_disabled_observers():
     s = initial_state(4, 4)
-    tables = [QTable(), None, QTable(), None]
-    for t in tables:
-        if t is not None:
-            t.write_log = []
+    tables = [LoggingQTable(), None, LoggingQTable(), None]
     ola_broadcast(tables, encode_state(s), cells(s), Action.DOWN, 1.0, 0, HP)
     assert len(tables[0].write_log) == 0  # mover untouched by broadcast
     assert len(tables[2].write_log) == 1
@@ -311,10 +344,7 @@ def test_broadcast_lands_in_the_observers_shoes(case, action, delta):
     that do not receive get none."""
     state, receives = case
     mover = state.move
-    tables = [QTable() if on else None for on in receives]
-    for t in tables:
-        if t is not None:
-            t.write_log = []
+    tables = [LoggingQTable() if on else None for on in receives]
     ola_broadcast(tables, encode_state(state), cells(state), action, delta, mover, HP)
     for observer, table in enumerate(tables):
         if table is None:
@@ -334,9 +364,7 @@ def test_agent_mode_flags():
         agent_kinds=(AgentKind.QLEARNER,) * 2, variant=Variant.SOVEREIGN,
     )
     for kind in (AgentKind.HQLEARNER, AgentKind.QLEARNER):
-        tables = [QTable(), QTable()]
-        for t in tables:
-            t.write_log = []
+        tables = [LoggingQTable(), LoggingQTable()]
         setups = [AgentSetup(kind, table=t) for t in tables]
         res = run_game(cfg, 5, setups=setups, keep_trace=True)
         turns = [0, 0]

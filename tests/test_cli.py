@@ -442,3 +442,28 @@ def test_exit_codes_hold_for_any_config_text(command, lines):
             f.write("\n".join(lines) + "\n")
         out = os.path.join(tmp, "out")
         assert main([command, "--config", cfg, "--out", out]) in (0, 2, 3, 4)
+
+
+# --- start-up cost -------------------------------------------------------------
+
+
+def test_cli_import_loads_no_process_pool():
+    """`import civgame.cli` leaves multiprocessing unloaded: only a run
+    that makes a pool (workers > 1) pays for importing it."""
+    import subprocess
+    import sys
+
+    import civgame
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(civgame.__file__)))
+    code = (
+        "import sys, civgame.cli;"
+        "print(sorted(m for m in ('concurrent.futures.process', 'multiprocessing')"
+        " if m in sys.modules))"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env=env,
+    )
+    assert out.stdout.strip() == "[]"

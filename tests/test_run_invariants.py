@@ -7,7 +7,7 @@ from dataclasses import replace
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from civgame.agents import AgentKind, Hyperparams, QTable, dump_qtable, epsilon_at
+from civgame.agents import AgentKind, Hyperparams, dump_qtable, epsilon_at
 from civgame.experiment import (
     AgentSetup,
     agent_rng,
@@ -18,6 +18,7 @@ from civgame.experiment import (
     run_game,
 )
 from civgame.game import Action, RewardConfig, reward
+from conftest import LoggingQTable
 
 H, Q, R = AgentKind.HQLEARNER, AgentKind.QLEARNER, AgentKind.RANDOM
 
@@ -38,9 +39,7 @@ def hql_cfg(**kw):
 
 
 def instrumented_run(cfg, seed):
-    tables = [QTable() for _ in range(cfg.players)]
-    for t in tables:
-        t.write_log = []
+    tables = [LoggingQTable() for _ in range(cfg.players)]
     setups = [AgentSetup(kind=AgentKind.HQLEARNER, table=t) for t in tables]
     result = run_game(cfg, seed, setups=setups, keep_trace=True)
     return result, tables
@@ -70,9 +69,7 @@ def test_tables_hold_only_written_rows():
         variant=Variant.BASE, agent_kinds=(AgentKind.QLEARNER,) * 4
     )
     for cfg in (hql_cfg(), base):
-        tables = [QTable() for _ in range(cfg.players)]
-        for t in tables:
-            t.write_log = []
+        tables = [LoggingQTable() for _ in range(cfg.players)]
         setups = [AgentSetup(kind, table=t) for kind, t in zip(cfg.agent_kinds, tables)]
         run_game(cfg, 19, setups=setups)
         for t in tables:
@@ -168,17 +165,21 @@ def replay_against_oracle(cfg, seed, setups):
         sovereign_transition,
     )
 
+    def logged(table):
+        """A fresh logging table, or a frozen seat's rows under a log."""
+        logging_table = LoggingQTable()
+        if table is not None:
+            logging_table.rows = table.rows
+        return logging_table
+
     setups = [
-        replace(s, table=QTable())
-        if s.table is None and s.kind is not AgentKind.RANDOM else s
+        s if s.table is None and s.kind is AgentKind.RANDOM
+        else replace(s, table=logged(s.table))
         for s in setups
     ]
     tables = [s.table for s in setups]
     shadow = [{} if t is None else {k: list(r) for k, r in t.rows.items()}
               for t in tables]
-    for t in tables:
-        if t is not None:
-            t.write_log = []
     result = run_game(cfg, seed, setups=setups, keep_trace=True)
     p, rc, hp = cfg.players, cfg.rewards, cfg.hp
     sovereign = cfg.variant is Variant.SOVEREIGN
