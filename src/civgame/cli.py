@@ -74,11 +74,9 @@ def cmd_analyze(args: argparse.Namespace) -> None:
     out = args.out
     os.makedirs(out, exist_ok=True)
     write_matrix_csv(result, os.path.join(out, "matrix.csv"))
-    tally: dict[str, int] = {}
-    for m in result.per_trial:
-        tally[m.classification.value] = tally.get(m.classification.value, 0) + 1
     n = len(result.per_trial)
     print(f"alpha: cooperative={coop.alpha:.3f} defecting={defect.alpha:.3f}")
+    tally = {cls.value: count for cls, count in result.class_counts.items()}
     for name in sorted(tally):
         print(f"{name}: {tally[name]}/{n}")
     print(f"stag_hunt_fraction={result.stag_hunt_fraction}")

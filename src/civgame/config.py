@@ -8,6 +8,7 @@ defaults.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from enum import Enum
 from typing import Any, Callable
 
 from .agents import AgentKind, Hyperparams
@@ -27,19 +28,21 @@ class ConfigError(ValueError):
         super().__init__(message)
 
 
-def _parse_variant(text: str) -> Variant:
-    try:
-        return Variant(text)
-    except ValueError:
-        raise ValueError(f"variant must be one of base|sovereign, got {text!r}")
+def _enum_parser(enum: type[Enum], what: str) -> Callable[[str], Any]:
+    """A parser of `enum`'s values that names all of them on a miss."""
+    names = "|".join(member.value for member in enum)
+
+    def parse(text: str) -> Any:
+        try:
+            return enum(text)
+        except ValueError:
+            raise ValueError(f"{what} must be one of {names}, got {text!r}")
+
+    return parse
 
 
-def _parse_agent(text: str) -> AgentKind:
-    try:
-        return AgentKind(text)
-    except ValueError:
-        names = "|".join(k.value for k in AgentKind)
-        raise ValueError(f"agent kind must be one of {names}, got {text!r}")
+_parse_variant = _enum_parser(Variant, "variant")
+_parse_agent = _enum_parser(AgentKind, "agent kind")
 
 
 _RUN = RunConfig()

@@ -177,30 +177,26 @@ def legal_actions(state: GameState, player: int) -> list[Action]:
     return acts
 
 
-def apply_move(
-    state: GameState, action: Action
-) -> tuple[bytes, tuple[bool, ...], bool]:
+def apply_move(state: GameState, action: Action) -> tuple[bytes, tuple[bool, ...]]:
     """Board mechanics shared by both variants, for the mover state.move.
 
-    Returns (new board, new invaded flags, invasion committed). Applies:
-    relocate the mover, raise the victim's flag on invasion, paint the
-    vacated cell (unless STAY), and clear the mover's own flag.
+    Returns (new board, new invaded flags). Applies: relocate the mover,
+    raise the victim's flag on invasion, paint the vacated cell (unless
+    STAY), and clear the mover's own flag.
     """
     mover = state.move
     board = bytearray(state.board)
     invaded = list(state.invaded)
-    committed = False
     if action != Action.STAY:
         loc = state.board.index(_OCC_BASE + mover)
         dest = move_dest(loc, action, state.size)
         dest_cell = board[dest]
         if is_territory(dest_cell) and cell_owner(dest_cell) != mover:
             invaded[cell_owner(dest_cell)] = True
-            committed = True
         board[dest] = _OCC_BASE + mover
         board[loc] = _TERR_BASE + mover
     invaded[mover] = False
-    return bytes(board), tuple(invaded), committed
+    return bytes(board), tuple(invaded)
 
 
 def transition(state: GameState, action: Action) -> GameState:
@@ -209,7 +205,7 @@ def transition(state: GameState, action: Action) -> GameState:
         raise IllegalActionError(
             f"{action.name} is not legal for player {state.move}"
         )
-    board, invaded, _ = apply_move(state, action)
+    board, invaded = apply_move(state, action)
     return replace(
         state,
         board=board,

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Sequence
@@ -90,37 +91,36 @@ def classify_policy(alpha: float, thresholds: Thresholds) -> PolicyClass:
 
 @dataclass(frozen=True)
 class PayoffMatrix:
-    """Empirical R/P/S/T with derived incentives and classification."""
+    """Empirical R/P/S/T; the incentives and the class are read off them."""
 
     R: float
     P: float
     S: float
     T: float
-    fear: float
-    greed: float
-    classification: DilemmaClass
 
-    @classmethod
-    def from_payoffs(cls, R: float, P: float, S: float, T: float) -> "PayoffMatrix":
-        fear = P - S
-        greed = T - R
-        coop_preferred = R > P
-        exploit_resistant = R > S
-        efficient = 2 * R > T + S
+    @property
+    def fear(self) -> float:
+        return self.P - self.S
+
+    @property
+    def greed(self) -> float:
+        return self.T - self.R
+
+    @property
+    def classification(self) -> DilemmaClass:
+        coop_preferred = self.R > self.P
+        exploit_resistant = self.R > self.S
+        efficient = 2 * self.R > self.T + self.S
+        fear, greed = self.fear, self.greed
         if not (coop_preferred and exploit_resistant and efficient):
-            classification = DilemmaClass.NOT_SOCIAL_DILEMMA
-        elif fear > 0 and greed > 0:
-            classification = DilemmaClass.PRISONERS_DILEMMA
-        elif fear > 0:
-            classification = DilemmaClass.STAG_HUNT
-        elif greed > 0:
-            classification = DilemmaClass.OTHER_DILEMMA
-        else:
-            classification = DilemmaClass.NOT_SOCIAL_DILEMMA
-        return cls(
-            R=R, P=P, S=S, T=T, fear=fear, greed=greed,
-            classification=classification,
-        )
+            return DilemmaClass.NOT_SOCIAL_DILEMMA
+        if fear > 0 and greed > 0:
+            return DilemmaClass.PRISONERS_DILEMMA
+        if fear > 0:
+            return DilemmaClass.STAG_HUNT
+        if greed > 0:
+            return DilemmaClass.OTHER_DILEMMA
+        return DilemmaClass.NOT_SOCIAL_DILEMMA
 
 
 @dataclass
@@ -143,7 +143,7 @@ class AnalysisConfig:
     peaceful farming and stop classifying as defectors.
     """
 
-    size: int = 4
+    size: int = RunConfig.size
     players: int = 2
     train_steps: int = 250_000
     defect_train_steps: int = 20_000
@@ -154,8 +154,8 @@ class AnalysisConfig:
     rewards: RewardConfig = field(default_factory=RewardConfig)
     hp: Hyperparams = field(default_factory=Hyperparams)
     thresholds: Thresholds = field(default_factory=Thresholds)
-    seed: int = 1
-    workers: int = 1
+    seed: int = RunConfig.seed
+    workers: int = RunConfig.workers
 
     def __post_init__(self) -> None:
         if self.players < 2:
@@ -167,20 +167,6 @@ class AnalysisConfig:
             value = getattr(self, name)
             if value < 1:
                 raise ValueError(f"{name} must be >= 1, got {value}")
-
-
-def _frozen_setups(
-    tables: Sequence[QTable], eps_by_seat: Sequence[float]
-) -> list[AgentSetup]:
-    return [
-        AgentSetup(
-            kind=AgentKind.QLEARNER,
-            table=table,
-            learn=False,
-            fixed_eps=eps,
-        )
-        for table, eps in zip(tables, eps_by_seat)
-    ]
 
 
 def _match_config(
@@ -216,7 +202,11 @@ def play_matchup(
     The tables are only read, so they come back unchanged.
     """
     run_cfg = _match_config(cfg, steps, variant or cfg.match_variant)
-    result = run_game(run_cfg, seed, setups=_frozen_setups(tables, eps_by_seat))
+    setups = [
+        AgentSetup(AgentKind.QLEARNER, table=table, learn=False, fixed_eps=eps)
+        for table, eps in zip(tables, eps_by_seat)
+    ]
+    result = run_game(run_cfg, seed, setups=setups)
     payoffs = [total / steps for total in result.rewards_per_player]
     return payoffs, result.invasions_per_player, result.moves_per_player
 
@@ -251,9 +241,28 @@ def train_policy(cfg: AnalysisConfig, kind: AgentKind) -> TrainedPolicy:
 
 @dataclass
 class AnalysisResult:
+    """The per-trial matrices; the pooled figures are read off them."""
+
     per_trial: list[PayoffMatrix]
-    aggregate: PayoffMatrix
-    stag_hunt_fraction: float
+
+    @property
+    def aggregate(self) -> PayoffMatrix:
+        """Each cell's mean over the trials."""
+        n = len(self.per_trial)
+        return PayoffMatrix(
+            sum(m.R for m in self.per_trial) / n,
+            sum(m.P for m in self.per_trial) / n,
+            sum(m.S for m in self.per_trial) / n,
+            sum(m.T for m in self.per_trial) / n,
+        )
+
+    @property
+    def class_counts(self) -> Counter[DilemmaClass]:
+        return Counter(m.classification for m in self.per_trial)
+
+    @property
+    def stag_hunt_fraction(self) -> float:
+        return self.class_counts[DilemmaClass.STAG_HUNT] / len(self.per_trial)
 
 
 def _play_seating(
@@ -312,23 +321,8 @@ def run_payoff_trials(
         P = sum(dd) / p
         S = (sum(cd[:half]) + sum(dc[half:])) / p
         T = (sum(dc[:half]) + sum(cd[half:])) / p
-        per_trial.append(PayoffMatrix.from_payoffs(R, P, S, T))
-
-    n = len(per_trial)
-    aggregate = PayoffMatrix.from_payoffs(
-        sum(m.R for m in per_trial) / n,
-        sum(m.P for m in per_trial) / n,
-        sum(m.S for m in per_trial) / n,
-        sum(m.T for m in per_trial) / n,
-    )
-    stag = sum(
-        m.classification is DilemmaClass.STAG_HUNT for m in per_trial
-    ) / n
-    return AnalysisResult(
-        per_trial=per_trial,
-        aggregate=aggregate,
-        stag_hunt_fraction=stag,
-    )
+        per_trial.append(PayoffMatrix(R, P, S, T))
+    return AnalysisResult(per_trial)
 
 
 MATRIX_HEADER = ["trial", "R", "P", "S", "T", "fear", "greed", "classification"]

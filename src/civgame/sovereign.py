@@ -106,7 +106,7 @@ def sovereign_transition(
         invaded[state.move] = False
         next_state = replace(state, invaded=tuple(invaded), move=next_move)
     else:
-        board, invaded, _ = apply_move(state, action)
+        board, invaded = apply_move(state, action)
         next_state = replace(state, board=board, invaded=invaded, move=next_move)
     return next_state, max(forced - 1, 0)
 

@@ -378,8 +378,8 @@ def test_criterion_9_matrix_analysis_reproduction(tmp_path):
             assert abs(m.greed) <= 0.1
 
         # the two hand-specified reference matrices classify exactly
-        sh = PayoffMatrix.from_payoffs(R=4, P=1, S=0, T=3)
-        pd_ = PayoffMatrix.from_payoffs(R=3, P=1, S=0, T=4)
+        sh = PayoffMatrix(R=4, P=1, S=0, T=3)
+        pd_ = PayoffMatrix(R=3, P=1, S=0, T=4)
         assert sh.classification is DilemmaClass.STAG_HUNT
         assert pd_.classification is DilemmaClass.PRISONERS_DILEMMA
 

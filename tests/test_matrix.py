@@ -117,47 +117,47 @@ def test_classify_policy_monotone(a, b):
 
 
 def test_stag_hunt_reference_matrix():
-    m = PayoffMatrix.from_payoffs(R=4, P=1, S=0, T=3)
+    m = PayoffMatrix(R=4, P=1, S=0, T=3)
     assert (m.fear, m.greed) == (1, -1)
     assert m.classification is DilemmaClass.STAG_HUNT
 
 
 def test_prisoners_dilemma_reference_matrix():
-    m = PayoffMatrix.from_payoffs(R=3, P=1, S=0, T=4)
+    m = PayoffMatrix(R=3, P=1, S=0, T=4)
     assert (m.fear, m.greed) == (1, 1)
     assert m.classification is DilemmaClass.PRISONERS_DILEMMA
 
 
 def test_reported_empirical_matrix_is_stag_hunt():
-    m = PayoffMatrix.from_payoffs(R=0.459, P=0.455, S=0.426, T=0.446)
+    m = PayoffMatrix(R=0.459, P=0.455, S=0.426, T=0.446)
     assert m.fear == pytest.approx(0.029)
     assert m.greed == pytest.approx(-0.013)
     assert m.classification is DilemmaClass.STAG_HUNT
 
 
 def test_greed_only_is_other_dilemma():
-    m = PayoffMatrix.from_payoffs(R=3, P=0, S=1, T=4)  # chicken-like
+    m = PayoffMatrix(R=3, P=0, S=1, T=4)  # chicken-like
     assert m.classification is DilemmaClass.OTHER_DILEMMA
 
 
 def test_no_dilemma_when_inequalities_fail():
     assert (
-        PayoffMatrix.from_payoffs(R=1, P=2, S=0, T=0).classification
+        PayoffMatrix(R=1, P=2, S=0, T=0).classification
         is DilemmaClass.NOT_SOCIAL_DILEMMA
     )
     assert (
-        PayoffMatrix.from_payoffs(R=4, P=1, S=2, T=3).classification
+        PayoffMatrix(R=4, P=1, S=2, T=3).classification
         is DilemmaClass.NOT_SOCIAL_DILEMMA
     )  # fear and greed both absent
 
 
 def test_fear_greed_degenerate_all_equal():
-    m = PayoffMatrix.from_payoffs(1.5, 1.5, 1.5, 1.5)
+    m = PayoffMatrix(1.5, 1.5, 1.5, 1.5)
     assert (m.fear, m.greed) == (0.0, 0.0)
 
 
 def test_fear_greed_matches_stored_fields_exactly():
-    m = PayoffMatrix.from_payoffs(R=0.459, P=0.455, S=0.426, T=0.446)
+    m = PayoffMatrix(R=0.459, P=0.455, S=0.426, T=0.446)
     assert (m.fear, m.greed) == (0.455 - 0.426, 0.446 - 0.459)
 
 

@@ -52,6 +52,13 @@ SOVEREIGN_MIX = {
         "820467e6c61b720167a6b0f81dfad64f550bb40c6e4fb374382c002013eb46da",
     ),
 }
+ANALYZE_MATRIX = "228fe42d87a3bdffec96a77bf95032a5dae23abb47e8d2806aaadca361d5dd62"
+ANALYZE_STDOUT = (
+    "alpha: cooperative=13.428 defecting=33.800\n"
+    "NotSocialDilemma: 1/2\n"
+    "StagHunt: 1/2\n"
+    "stag_hunt_fraction=0.5\n"
+)
 
 
 def sha(data: bytes) -> str:
@@ -128,3 +135,23 @@ def test_sovereign_mix_bytes(tmp_path):
     }
     digests["tables"] = table_digests(res.tables)
     assert digests == SOVEREIGN_MIX
+
+
+def test_analyze_bytes(tmp_path, capsys):
+    """A tiny `civgame analyze`: its matrix.csv and its stdout tally.
+
+    The thresholds are wide so that policies trained this briefly still
+    classify; the run takes well under a second.
+    """
+    path = tmp_path / "analyze.cfg"
+    path.write_text(
+        "board_size=4\nmatch_players=2\nmatch_variant=base\nworkers=1\n"
+        "train_steps=5000\ndefect_train_steps=2000\neval_steps=1000\n"
+        "match_trials=2\nmatch_steps=1000\nalpha_c=20.0\nalpha_d=21.0\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "out"
+    argv = ["analyze", "--config", str(path), "--out", str(out), "--seed", "3"]
+    assert main(argv) == 0
+    assert sha((out / "matrix.csv").read_bytes()) == ANALYZE_MATRIX
+    assert capsys.readouterr().out == ANALYZE_STDOUT
