@@ -39,7 +39,6 @@ from .agents import (
 from .experiment import (
     MetricsBin,
     RunConfig,
-    TrialSummary,
     Variant,
     run_game,
     run_trials,
@@ -70,7 +69,6 @@ __all__ = [
     "RewardConfig",
     "RunConfig",
     "Thresholds",
-    "TrialSummary",
     "Variant",
     "classify_policy",
     "count_states",

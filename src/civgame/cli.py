@@ -55,11 +55,11 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_simulate(args: argparse.Namespace) -> None:
     resolved = load_config(args.config, args.seed)
     cfg = resolved.run_config()
-    summary = run_trials(cfg)
+    trials = run_trials(cfg)
     out = args.out
     os.makedirs(out, exist_ok=True)
-    write_learning_curve(summary, os.path.join(out, "learning_curve.csv"))
-    write_actions(summary, os.path.join(out, "actions.csv"))
+    write_learning_curve(trials, os.path.join(out, "learning_curve.csv"))
+    write_actions(trials, os.path.join(out, "actions.csv"))
     with open(os.path.join(out, "run_manifest.txt"), "w", encoding="utf-8") as f:
         f.write(resolved.manifest())
     print(f"wrote learning_curve.csv, actions.csv, run_manifest.txt to {out}")

@@ -18,14 +18,12 @@ from .matrix import AnalysisConfig, Thresholds
 
 
 class ConfigError(ValueError):
-    """Bad config file content; carries the offending line when known."""
+    """Bad config file content; carries the offending line."""
 
-    def __init__(self, message: str, line_no: int | None = None, line: str = ""):
+    def __init__(self, message: str, line_no: int, line: str):
         self.line_no = line_no
         self.line = line
-        if line_no is not None:
-            message = f"line {line_no}: {message}: {line!r}"
-        super().__init__(message)
+        super().__init__(f"line {line_no}: {message}: {line!r}")
 
 
 def _enum_parser(enum: type[Enum], what: str) -> Callable[[str], Any]:

@@ -15,13 +15,13 @@ import random
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .agents import (
     AgentKind,
     Hyperparams,
+    NUM_ACTIONS,
     QTable,
-    epsilon_at,
     ola_broadcast,
     q_update,
     select_action,
@@ -50,8 +50,6 @@ from .sovereign import (  # noqa: F401
     sovereign_reward,
     sovereign_transition,
 )
-
-NUM_ACTIONS = len(Action)
 
 
 class Variant(Enum):
@@ -154,7 +152,6 @@ class RunResult:
     bins: list[MetricsBin]
     rewards_per_player: list[int]
     invasions_per_player: list[int]
-    final_eps: float
     tables: list[QTable | None] | None = None
     trace: list[MoveRecord | VoteRecord] | None = None
 
@@ -385,23 +382,9 @@ def run_game(
         bins=bins,
         rewards_per_player=rewards_per_player,
         invasions_per_player=invasions_per_player,
-        final_eps=epsilon_at(cfg.total_steps, hp),
         tables=tables if keep_tables else None,
         trace=trace,
     )
-
-
-@dataclass
-class TrialSummary:
-    """Each trial's bin series; all trials share the bin boundaries."""
-
-    config: RunConfig
-    trials: list[list[MetricsBin]]
-
-    def __post_init__(self) -> None:
-        starts = {tuple(b.bin_start for b in series) for series in self.trials}
-        if len(starts) != 1:
-            raise ValueError("trials disagree on bin boundaries")
 
 
 def trial_seed(master_seed: int, trial: int) -> int:
@@ -448,12 +431,12 @@ def map_jobs(
         return list(pool.map(partial(_call_shared, fn), jobs))
 
 
-def run_trials(cfg: RunConfig) -> TrialSummary:
-    """Run cfg.trials seeded trials, in up to cfg.workers processes."""
-    series = map_jobs(
+def run_trials(cfg: RunConfig) -> list[list[MetricsBin]]:
+    """Each of cfg.trials seeded trials' bin series, in trial order, run
+    in up to cfg.workers processes."""
+    return map_jobs(
         _run_trial_bins, range(cfg.trials), cfg.workers, shared=(cfg,)
     )
-    return TrialSummary(config=cfg, trials=series)
 
 
 LEARNING_CURVE_HEADER = [
@@ -464,25 +447,27 @@ ACTIONS_HEADER = [
 ]
 
 
-def write_learning_curve(summary: TrialSummary, path: str) -> None:
+def write_csv(path: str, header: Sequence, rows: Iterable[Sequence]) -> None:
+    """Write header then rows as UTF-8 CSV with "\n" line ends."""
     with open(path, "w", newline="", encoding="utf-8") as f:
         w = csv.writer(f, lineterminator="\n")
-        w.writerow(LEARNING_CURVE_HEADER)
-        for trial, series in enumerate(summary.trials):
-            for b in series:
-                w.writerow(
-                    [trial, b.bin_start, b.cs_sum, b.cs_avg,
-                     b.invasions, b.successful_defers]
-                )
+        w.writerow(header)
+        w.writerows(rows)
 
 
-def write_actions(summary: TrialSummary, path: str) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(ACTIONS_HEADER)
-        for trial, series in enumerate(summary.trials):
-            for b in series:
-                for player in range(summary.config.players):
-                    w.writerow(
-                        [trial, b.bin_start, player, *b.action_counts[player]]
-                    )
+def write_learning_curve(trials: list[list[MetricsBin]], path: str) -> None:
+    write_csv(path, LEARNING_CURVE_HEADER, (
+        [trial, b.bin_start, b.cs_sum, b.cs_avg, b.invasions,
+         b.successful_defers]
+        for trial, series in enumerate(trials)
+        for b in series
+    ))
+
+
+def write_actions(trials: list[list[MetricsBin]], path: str) -> None:
+    write_csv(path, ACTIONS_HEADER, (
+        [trial, b.bin_start, player, *counts]
+        for trial, series in enumerate(trials)
+        for b in series
+        for player, counts in enumerate(b.action_counts)
+    ))

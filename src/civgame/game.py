@@ -98,7 +98,8 @@ class RewardConfig:
             warnings.warn(
                 "invasion bonus is not outweighed by the invasion penalty; "
                 "the fear incentive is absent",
-                stacklevel=2,
+                # past __post_init__ and the generated __init__ to the caller
+                stacklevel=3,
             )
 
     def fear_condition_holds(self) -> bool:

@@ -10,14 +10,12 @@ game is embedded in the full environment.
 
 from __future__ import annotations
 
-import csv
-
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Sequence
 
-from .agents import AgentKind, Hyperparams, QTable
+from .agents import AgentKind, Hyperparams, QTable, epsilon_at
 from .experiment import (
     AgentSetup,
     RunConfig,
@@ -25,6 +23,7 @@ from .experiment import (
     map_jobs,
     run_game,
     stream_seed,
+    write_csv,
 )
 from .game import RewardConfig
 
@@ -226,7 +225,7 @@ def train_policy(cfg: AnalysisConfig, kind: AgentKind) -> TrainedPolicy:
         keep_tables=True,
     )
     tables = [t for t in result.tables if t is not None]
-    final_eps = result.final_eps
+    final_eps = epsilon_at(steps, cfg.hp)
     _, invasions, moves = play_matchup(
         cfg,
         tables,
@@ -329,15 +328,13 @@ MATRIX_HEADER = ["trial", "R", "P", "S", "T", "fear", "greed", "classification"]
 
 
 def write_matrix_csv(result: AnalysisResult, path: str) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(MATRIX_HEADER)
-        for k, m in enumerate(result.per_trial):
-            w.writerow(
-                [k, m.R, m.P, m.S, m.T, m.fear, m.greed, m.classification.value]
-            )
-        a = result.aggregate
-        w.writerow(
-            ["aggregate", a.R, a.P, a.S, a.T, a.fear, a.greed,
-             result.stag_hunt_fraction]
-        )
+    rows = [
+        [k, m.R, m.P, m.S, m.T, m.fear, m.greed, m.classification.value]
+        for k, m in enumerate(result.per_trial)
+    ]
+    a = result.aggregate
+    rows.append(
+        ["aggregate", a.R, a.P, a.S, a.T, a.fear, a.greed,
+         result.stag_hunt_fraction]
+    )
+    write_csv(path, MATRIX_HEADER, rows)

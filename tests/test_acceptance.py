@@ -300,24 +300,24 @@ def test_criterion_8_learning_reproduction():
         # (a) random baseline: per-bin median CS average negative in >=90% of bins
         random_medians = [
             statistics.median(b.cs_avg for b in per_bin)
-            for per_bin in zip(*summaries[AgentKind.RANDOM].trials)
+            for per_bin in zip(*summaries[AgentKind.RANDOM])
         ]
         negative = sum(1 for m in random_medians if m < 0)
         assert negative >= 0.9 * len(random_medians)
 
         # (b) HQL final-10% median CS average positive and above QL's
         hql_cs = statistics.median(
-            final_tenth([[b.cs_avg for b in s] for s in summaries[AgentKind.HQLEARNER].trials])
+            final_tenth([[b.cs_avg for b in s] for s in summaries[AgentKind.HQLEARNER]])
         )
         ql_cs = statistics.median(
-            final_tenth([[b.cs_avg for b in s] for s in summaries[AgentKind.QLEARNER].trials])
+            final_tenth([[b.cs_avg for b in s] for s in summaries[AgentKind.QLEARNER]])
         )
         assert hql_cs > 0
         assert hql_cs > ql_cs
 
         # (c) HQL invasions per bin collapse
         hql_inv = statistics.median(
-            final_tenth([[b.invasions for b in s] for s in summaries[AgentKind.HQLEARNER].trials])
+            final_tenth([[b.invasions for b in s] for s in summaries[AgentKind.HQLEARNER]])
         )
         assert hql_inv <= 2
 
@@ -325,7 +325,7 @@ def test_criterion_8_learning_reproduction():
         opportunities = 2_500 // 5
         hql_sd = statistics.median(
             final_tenth(
-                [[b.successful_defers for b in s] for s in summaries[AgentKind.HQLEARNER].trials]
+                [[b.successful_defers for b in s] for s in summaries[AgentKind.HQLEARNER]]
             )
         )
         assert hql_sd >= 0.8 * opportunities

@@ -74,11 +74,21 @@ def test_unknown_key_reports_line(tmp_path):
     assert "speed" in str(err.value)
 
 
-def test_bad_value_reports_line(tmp_path):
-    path = write(tmp_path, "bad.cfg", "trials=soon\n")
+@pytest.mark.parametrize(
+    "line, named",
+    [
+        ("trials=soon", "soon"),
+        ("variant=feudal", "base|sovereign"),
+        ("agent1=robot", "qlearner|hqlearner|random"),
+    ],
+    ids=["trials", "variant", "agent1"],
+)
+def test_bad_value_reports_line(tmp_path, line, named):
+    path = write(tmp_path, "bad.cfg", line + "\n")
     with pytest.raises(ConfigError) as err:
         parse_config(path)
     assert err.value.line_no == 1
+    assert named in str(err.value)
 
 
 def test_missing_equals_is_error(tmp_path):

@@ -13,7 +13,6 @@ from civgame.experiment import (
     MetricsBin,
     MoveRecord,
     RunConfig,
-    TrialSummary,
     Variant,
     VoteRecord,
     run_game,
@@ -263,7 +262,7 @@ def test_trial_summary_median_min_max(tmp_path):
 def test_parallel_trials_match_sequential():
     seq = run_trials(small_cfg(total_steps=1_000, bin_size=500, trials=3, workers=1))
     par = run_trials(small_cfg(total_steps=1_000, bin_size=500, trials=3, workers=2))
-    for a, b in zip(seq.trials, par.trials):
+    for a, b in zip(seq, par):
         assert [x.cs_sum for x in a] == [x.cs_sum for x in b]
         assert [x.invasions for x in a] == [x.invasions for x in b]
         assert [x.action_counts for x in a] == [x.action_counts for x in b]
@@ -272,7 +271,7 @@ def test_parallel_trials_match_sequential():
 def test_pool_never_has_more_processes_than_trials(fake_pool):
     for workers, trials in ((8, 3), (2, 3), (3, 2)):
         cfg = small_cfg(total_steps=500, bin_size=500, trials=trials, workers=workers)
-        assert len(run_trials(cfg).trials) == trials
+        assert len(run_trials(cfg)) == trials
     assert fake_pool == [3, 2, 2]
 
 
@@ -280,29 +279,31 @@ def test_pool_never_has_more_processes_than_cpus(fake_pool, monkeypatch):
     cfg = small_cfg(total_steps=500, bin_size=500, trials=3, workers=8)
     for cpus in (2, 1, None):  # None: the count is unknown
         monkeypatch.setattr("civgame.experiment.os.cpu_count", lambda n=cpus: n)
-        assert len(run_trials(cfg).trials) == 3
+        assert len(run_trials(cfg)) == 3
     # one CPU, or an unknown count, runs the trials inline
     assert fake_pool == [2]
 
 
 def test_trial_seeds_are_master_plus_index():
     assert trial_seed(100, 0) == 100
-    summary = run_trials(small_cfg(total_steps=500, bin_size=500, trials=2))
-    assert summary.trials[0] != summary.trials[1]
+    trials = run_trials(small_cfg(total_steps=500, bin_size=500, trials=2))
+    assert trials[0] != trials[1]
 
 
-def test_csv_round_trip(tmp_path):
-    cfg = small_cfg(total_steps=1_000, bin_size=500, trials=2)
-    summary = run_trials(cfg)
+@pytest.mark.parametrize("seats", [2, 4])
+def test_csv_round_trip(tmp_path, seats):
+    cfg = small_cfg(total_steps=1_000, bin_size=500, trials=2, players=seats,
+                    agent_kinds=(AgentKind.HQLEARNER,) * seats)
+    trials = run_trials(cfg)
     curve = tmp_path / "learning_curve.csv"
     actions = tmp_path / "actions.csv"
-    write_learning_curve(summary, str(curve))
-    write_actions(summary, str(actions))
+    write_learning_curve(trials, str(curve))
+    write_actions(trials, str(actions))
 
     with open(curve, newline="", encoding="utf-8") as f:
         rows = list(csv.DictReader(f))
     assert len(rows) == 2 * 2
-    for trial, series in enumerate(summary.trials):
+    for trial, series in enumerate(trials):
         for b in series:
             row = next(
                 r for r in rows
@@ -315,11 +316,11 @@ def test_csv_round_trip(tmp_path):
 
     with open(actions, newline="", encoding="utf-8") as f:
         arows = [{k: int(v) for k, v in r.items()} for r in csv.DictReader(f)]
-    assert len(arows) == 2 * 2 * 4
+    assert len(arows) == 2 * 2 * seats
     names = ["up", "down", "left", "right", "stay", "defer"]
-    for trial, series in enumerate(summary.trials):
+    for trial, series in enumerate(trials):
         for b in series:
-            for player in range(4):
+            for player in range(seats):
                 row = next(
                     r for r in arows
                     if r["trial"] == trial

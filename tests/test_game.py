@@ -234,9 +234,11 @@ def test_reward_config_validation_and_fear_condition():
     with pytest.raises(ValueError):
         RewardConfig(invasion_bonus=10, invasion_penalty=5)
     assert RewardConfig().fear_condition_holds()
-    with pytest.warns(UserWarning, match="fear incentive"):
+    with pytest.warns(UserWarning, match="fear incentive") as record:
         cfg = RewardConfig(invasion_bonus=30, invasion_penalty=-25)
     assert not cfg.fear_condition_holds()
+    # the warning names the line that built the config
+    assert record[0].filename == __file__
 
 
 # --- state counting ----------------------------------------------------------

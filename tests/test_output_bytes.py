@@ -12,7 +12,6 @@ from civgame.cli import main
 from civgame.experiment import (
     AgentSetup,
     RunConfig,
-    TrialSummary,
     Variant,
     run_game,
     trial_seed,
@@ -126,9 +125,8 @@ def test_sovereign_mix_bytes(tmp_path):
         AgentSetup(H, fixed_eps=0.2),
     ]
     res = run_game(cfg, 8, setups=setups, keep_tables=True)
-    summary = TrialSummary(config=cfg, trials=[res.bins])
-    write_learning_curve(summary, str(tmp_path / "learning_curve.csv"))
-    write_actions(summary, str(tmp_path / "actions.csv"))
+    write_learning_curve([res.bins], str(tmp_path / "learning_curve.csv"))
+    write_actions([res.bins], str(tmp_path / "actions.csv"))
     digests = {
         name: sha((tmp_path / name).read_bytes())
         for name in ("learning_curve.csv", "actions.csv")
