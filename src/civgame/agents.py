@@ -27,6 +27,9 @@ _ZERO_ROW = (0.0,) * NUM_ACTIONS
 
 @dataclass(frozen=True)
 class Hyperparams:
+    """Learning rate, discount, and the exploration schedule
+    eps0 * eps_decay**t (see epsilon_at); each lies in [0, 1]."""
+
     alpha: float = 0.5
     gamma: float = 0.99
     eps0: float = 0.9
@@ -154,8 +157,8 @@ def ola_state(state: GameState, observer: int, mover: int) -> GameState:
     if observer == mover:
         raise ValueError("observer and mover must differ")
     board = bytearray(state.board)
-    li = state.board.index(occupied_cell(observer))
-    lm = state.board.index(occupied_cell(mover))
+    li = state.position(observer)
+    lm = state.position(mover)
     board[li], board[lm] = occupied_cell(mover), occupied_cell(observer)
     invaded = list(state.invaded)
     invaded[observer], invaded[mover] = invaded[mover], invaded[observer]

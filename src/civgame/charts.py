@@ -8,6 +8,7 @@ per-player action breakdown for the actions schema.
 from __future__ import annotations
 
 import csv
+import math
 import statistics
 from collections import defaultdict
 
@@ -137,30 +138,32 @@ def _read_rows(path: str) -> tuple[list[str], list[dict]]:
 
 def _render_learning_curve(path: str, rows: list[dict]) -> str:
     """Three stacked panels: score average, invasions, successful defers."""
+    titles = [
+        ("cs_avg", "collective score per step (median, min/max band)"),
+        ("invasions", "invasions per bin"),
+        ("successful_defers", "successful defer votes per bin"),
+    ]
     by_bin: dict[int, dict[str, list[float]]] = defaultdict(
         lambda: defaultdict(list)
     )
     for n, row in enumerate(rows, start=1):
         try:
             start = int(row["bin_start"])
-            by_bin[start]["cs_avg"].append(float(row["cs_avg"]))
-            by_bin[start]["invasions"].append(float(row["invasions"]))
-            by_bin[start]["defers"].append(float(row["successful_defers"]))
+            for column, _ in titles:
+                value = float(row[column])
+                if not math.isfinite(value):
+                    raise ValueError(f"{column} is {row[column]!r}")
+                by_bin[start][column].append(value)
         except (TypeError, ValueError) as exc:
             raise ChartError(
                 f"{path}: malformed learning-curve data row {n}: {exc}"
             )
     xs = sorted(by_bin)
     panels = []
-    titles = [
-        ("cs_avg", "collective score per step (median, min/max band)"),
-        ("invasions", "invasions per bin"),
-        ("defers", "successful defer votes per bin"),
-    ]
-    for idx, (metric, title) in enumerate(titles):
-        med = [statistics.median(by_bin[x][metric]) for x in xs]
-        lo = [min(by_bin[x][metric]) for x in xs]
-        hi = [max(by_bin[x][metric]) for x in xs]
+    for idx, (column, title) in enumerate(titles):
+        med = [statistics.median(by_bin[x][column]) for x in xs]
+        lo = [min(by_bin[x][column]) for x in xs]
+        hi = [max(by_bin[x][column]) for x in xs]
         band = None if lo == hi else (lo, hi)
         panels.append(
             _panel(title, xs, [("median", COLORS[0], med)], band, idx * PANEL_H)

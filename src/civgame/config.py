@@ -1,8 +1,8 @@
 """Flat key=value config files driving the CLI.
 
 One `key=value` pair per line, `#` starts a comment, blank lines are
-ok. Unknown keys are a hard error; missing keys take the documented
-defaults.
+ok. Unknown and repeated keys are a hard error; missing keys take the
+documented defaults.
 """
 
 from __future__ import annotations
@@ -86,6 +86,7 @@ def parse_config(path: str | None) -> dict[str, Any]:
     settings = {key: default for key, (_, default) in SCHEMA.items()}
     if path is None:
         return settings
+    set_on: dict[str, int] = {}  # key -> the line that set it
     with open(path, encoding="utf-8") as f:
         for line_no, raw in enumerate(f, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -98,6 +99,13 @@ def parse_config(path: str | None) -> dict[str, Any]:
             value = value.strip()
             if key not in SCHEMA:
                 raise ConfigError(f"unknown key {key!r}", line_no, raw.rstrip("\n"))
+            if key in set_on:
+                raise ConfigError(
+                    f"key {key!r} was already set on line {set_on[key]}",
+                    line_no,
+                    raw.rstrip("\n"),
+                )
+            set_on[key] = line_no
             parser, _ = SCHEMA[key]
             try:
                 settings[key] = parser(value)
@@ -108,6 +116,9 @@ def parse_config(path: str | None) -> dict[str, Any]:
 
 @dataclass(frozen=True)
 class ResolvedConfig:
+    """A parsed config's fully defaulted settings, keyed as in SCHEMA,
+    with the run, analysis, reward and learning configs built from them."""
+
     settings: dict[str, Any]
 
     def run_config(self) -> RunConfig:

@@ -59,6 +59,9 @@ class Variant(Enum):
 
 @dataclass(frozen=True)
 class RunConfig:
+    """A simulate run: `trials` seeded trials of total_steps turns each,
+    in bins of bin_size turns, with one agent kind per seat."""
+
     size: int = 4
     players: int = 4
     total_steps: int = 250_000
@@ -115,6 +118,9 @@ class VoteRecord:
 
 @dataclass
 class MetricsBin:
+    """The bin_size turns from bin_start: their collective score (cs_sum),
+    invasions, passed votes, and each seat's count of each action."""
+
     bin_start: int
     bin_size: int
     players: int
@@ -149,6 +155,9 @@ class AgentSetup:
 
 @dataclass
 class RunResult:
+    """One run_game trial: its bins, per-seat totals, and the Q-tables
+    and step trace when run_game is asked to keep them."""
+
     bins: list[MetricsBin]
     rewards_per_player: list[int]
     invasions_per_player: list[int]

@@ -14,6 +14,7 @@ import math
 import warnings
 from dataclasses import dataclass, replace
 from enum import IntEnum
+from typing import Iterator
 
 
 class IllegalActionError(ValueError):
@@ -138,44 +139,44 @@ def initial_state(size: int, players: int) -> GameState:
     )
 
 
+def _moves(loc: int, size: int) -> Iterator[tuple[Action, int]]:
+    """Each on-board movement from cell `loc` and its destination, as
+    (action, dest) in the canonical UP, DOWN, LEFT, RIGHT order. Left and
+    right stop at the row edges even where the index arithmetic stays in
+    range (no row wrap)."""
+    col = loc % size
+    if loc >= size:
+        yield Action.UP, loc - size
+    if loc < size * (size - 1):
+        yield Action.DOWN, loc + size
+    if col != 0:
+        yield Action.LEFT, loc - 1
+    if col != size - 1:
+        yield Action.RIGHT, loc + 1
+
+
 def move_dest(location: int, action: Action, size: int) -> int:
-    """Destination index for a movement action; no bounds checking here."""
-    if action == Action.UP:
-        return location - size
-    if action == Action.DOWN:
-        return location + size
-    if action == Action.LEFT:
-        return location - 1
-    if action == Action.RIGHT:
-        return location + 1
-    if action == Action.STAY:
-        return location
-    raise ValueError(f"{action.name} is not a board movement")
+    """Destination cell of a movement action; STAY keeps the cell.
+
+    Raises ValueError for DEFER and for a move off the board.
+    """
+    dests = {Action.STAY: location, **dict(_moves(location, size))}
+    if action not in dests:
+        raise ValueError(f"{action.name} is no board move from cell {location}")
+    return dests[action]
 
 
 def legal_actions(state: GameState, player: int) -> list[Action]:
-    """Movement actions that stay on the board and avoid other players.
+    """On-board movement actions that avoid other players.
 
-    Left/right are additionally illegal at the row edges even when the
-    index arithmetic stays in range (no row wrap). STAY is a fallback
-    only: legal exactly when nothing else is.
+    STAY is a fallback only: legal exactly when nothing else is.
     """
     board = state.board
-    b = state.size
-    loc = board.index(_OCC_BASE + player)
-    col = loc % b
-    acts = []
-    if loc >= b and not is_occupied(board[loc - b]):
-        acts.append(Action.UP)
-    if loc < b * (b - 1) and not is_occupied(board[loc + b]):
-        acts.append(Action.DOWN)
-    if col != 0 and not is_occupied(board[loc - 1]):
-        acts.append(Action.LEFT)
-    if col != b - 1 and not is_occupied(board[loc + 1]):
-        acts.append(Action.RIGHT)
-    if not acts:
-        acts.append(Action.STAY)
-    return acts
+    acts = [
+        a for a, dest in _moves(state.position(player), state.size)
+        if not is_occupied(board[dest])
+    ]
+    return acts or [Action.STAY]
 
 
 def apply_move(state: GameState, action: Action) -> tuple[bytes, tuple[bool, ...]]:
@@ -189,11 +190,10 @@ def apply_move(state: GameState, action: Action) -> tuple[bytes, tuple[bool, ...
     board = bytearray(state.board)
     invaded = list(state.invaded)
     if action != Action.STAY:
-        loc = state.board.index(_OCC_BASE + mover)
+        loc = state.position(mover)
         dest = move_dest(loc, action, state.size)
-        dest_cell = board[dest]
-        if is_territory(dest_cell) and cell_owner(dest_cell) != mover:
-            invaded[cell_owner(dest_cell)] = True
+        if is_invasion(state, action):
+            invaded[cell_owner(board[dest])] = True
         board[dest] = _OCC_BASE + mover
         board[loc] = _TERR_BASE + mover
     invaded[mover] = False
@@ -202,17 +202,13 @@ def apply_move(state: GameState, action: Action) -> tuple[bytes, tuple[bool, ...
 
 def transition(state: GameState, action: Action) -> GameState:
     """Deterministic base-game transition for the mover state.move."""
-    if action == Action.DEFER or action not in legal_actions(state, state.move):
+    if action not in legal_actions(state, state.move):
         raise IllegalActionError(
             f"{action.name} is not legal for player {state.move}"
         )
     board, invaded = apply_move(state, action)
-    return replace(
-        state,
-        board=board,
-        invaded=invaded,
-        move=(state.move + 1) % state.players,
-    )
+    move = (state.move + 1) % state.players
+    return replace(state, board=board, invaded=invaded, move=move)
 
 
 def is_invasion(state: GameState, action: Action) -> bool:
@@ -220,8 +216,7 @@ def is_invasion(state: GameState, action: Action) -> bool:
     if action in (Action.STAY, Action.DEFER):
         return False
     mover = state.move
-    dest = move_dest(state.board.index(_OCC_BASE + mover), action, state.size)
-    cell = state.board[dest]
+    cell = state.board[move_dest(state.position(mover), action, state.size)]
     return is_territory(cell) and cell_owner(cell) != mover
 
 
@@ -274,25 +269,9 @@ def key_offsets(size: int, players: int) -> tuple[int, int, int]:
 
 
 def neighbours(size: int) -> tuple[dict[Action, int], ...]:
-    """Per cell, each on-board movement mapped to its destination cell.
-
-    Entries follow the canonical UP, DOWN, LEFT, RIGHT order, and left and
-    right stop at the row edges, as in legal_actions.
-    """
-    table = []
-    for loc in range(size * size):
-        col = loc % size
-        dests = {}
-        if loc >= size:
-            dests[Action.UP] = loc - size
-        if loc < size * (size - 1):
-            dests[Action.DOWN] = loc + size
-        if col != 0:
-            dests[Action.LEFT] = loc - 1
-        if col != size - 1:
-            dests[Action.RIGHT] = loc + 1
-        table.append(dests)
-    return tuple(table)
+    """Per cell, each on-board movement mapped to its destination cell,
+    in the order of _moves."""
+    return tuple(dict(_moves(loc, size)) for loc in range(size * size))
 
 
 def encode_state(state: GameState) -> bytes:

@@ -59,10 +59,6 @@ def sovereign_legal_actions(
     return legal_actions(state, player)
 
 
-def _advance(move: int, players: int) -> int:
-    return (move + 1) % (players + 1)
-
-
 def sovereign_transition(
     state: GameState,
     action_or_ballots: Action | Sequence[Action],
@@ -75,8 +71,8 @@ def sovereign_transition(
     board and invaded flags untouched, sets the sovereign flag to +1/-1,
     and resets the move to player 0. The flag only carries the outcome
     to the payout step; consume_flag zeroes it once the rewards have
-    been disbursed. DEFER on an ordinary move keeps the mover in place
-    and farms.
+    been disbursed. DEFER on an ordinary move is played as a STAY: the
+    mover keeps its cell and farms.
     """
     _check_forced(state, forced)
     p = state.players
@@ -100,14 +96,12 @@ def sovereign_transition(
             f"{action.name} is not legal for player {state.move}"
         )
 
-    next_move = _advance(state.move, p)
-    if action == Action.DEFER:
-        invaded = list(state.invaded)
-        invaded[state.move] = False
-        next_state = replace(state, invaded=tuple(invaded), move=next_move)
-    else:
-        board, invaded = apply_move(state, action)
-        next_state = replace(state, board=board, invaded=invaded, move=next_move)
+    board, invaded = apply_move(
+        state, Action.STAY if action == Action.DEFER else action
+    )
+    next_state = replace(
+        state, board=board, invaded=invaded, move=(state.move + 1) % (p + 1)
+    )
     return next_state, max(forced - 1, 0)
 
 

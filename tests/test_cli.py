@@ -74,6 +74,16 @@ def test_unknown_key_reports_line(tmp_path):
     assert "speed" in str(err.value)
 
 
+def test_repeated_key_reports_both_lines(tmp_path):
+    path = write(tmp_path, "bad.cfg", "trials=2\nseed=1\ntrials=1\n")
+    with pytest.raises(ConfigError) as err:
+        parse_config(path)
+    assert err.value.line_no == 3
+    assert "'trials'" in str(err.value)
+    assert "line 1" in str(err.value)
+    assert run_cli(["simulate", "--config", path, "--out", str(tmp_path)]) == 2
+
+
 @pytest.mark.parametrize(
     "line, named",
     [
@@ -316,6 +326,10 @@ def test_plot_malformed_rows_exit_2(tmp_path, capsys):
     for name, text, bad_row in [
         ("bad.csv", header + "0,0,1,1,1,1\n0,x,1,1,1,1\n", 2),
         ("bad_actions.csv", actions + "0,0,0,1,1,1,1,1,y\n", 1),
+        # values that parse as floats but cannot be drawn
+        ("nan.csv", header + "0,0,1,1,1,1\n0,100,1,nan,1,1\n", 2),
+        ("inf.csv", header + "0,0,1,1,inf,1\n", 1),
+        ("neg_inf.csv", header + "0,0,1,1,1,-inf\n", 1),
         # a field past the csv module's field size limit (131072)
         ("huge.csv", header + "0," + "9" * 200_000 + ",1,1,1,1\n", None),
         # UTF-16 with a byte-order mark: not UTF-8
@@ -414,13 +428,29 @@ def _text(value) -> str:
 
 
 def _fault(key):
-    """A line that sets key to any value text, but never past its bound."""
+    """A (key, line) pair whose line sets key to any value text, but never
+    past its bound."""
     if key in _BOUNDS:
         # junk that parses as an int would escape the bound
         value = st.integers(-2, _BOUNDS[key]).map(str) | _LINE_TEXT.filter(_not_int)
     else:
         value = st.integers(-50, 50).map(str) | st.floats().map(repr) | _LINE_TEXT
-    return value.map(lambda v: f"{key}={v}")
+    return value.map(lambda v: (key, f"{key}={v}"))
+
+
+def _lines(good, faults):
+    """The good lines, each fault line in place of its key's good line.
+
+    A repeated key is a parse error, so a fault that only added a line
+    would never reach the run-time checks."""
+    lines = {key: f"{key}={_text(value)}" for key, value in good.items()}
+    junk = []
+    for key, line in faults:
+        if key is None:
+            junk.append(line)
+        else:
+            lines[key] = line
+    return list(lines.values()) + junk
 
 
 _CONFIG_LINES = st.tuples(
@@ -433,16 +463,15 @@ _CONFIG_LINES = st.tuples(
         # junk lines never set a known key
         | _LINE_TEXT.filter(
             lambda line: _setting(line).partition("=")[0].strip() not in SCHEMA
-        ),
+        ).map(lambda line: (None, line)),
         max_size=2,
     ),
-).flatmap(
-    lambda parts: st.permutations(
-        [f"{key}={_text(value)}" for key, value in parts[0].items()] + parts[1]
-    )
-)
+).flatmap(lambda parts: st.permutations(_lines(*parts)))
 
 
+# configs with invasion_bonus >= |invasion_penalty| warn that the fear
+# incentive is absent, which is expected here
+@pytest.mark.filterwarnings("ignore:invasion bonus is not outweighed:UserWarning")
 @settings(max_examples=150, derandomize=True, deadline=None)
 @given(command=st.sampled_from(["simulate", "analyze"]), lines=_CONFIG_LINES)
 def test_exit_codes_hold_for_any_config_text(command, lines):

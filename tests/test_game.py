@@ -20,6 +20,7 @@ from civgame.game import (
     is_territory,
     legal_actions,
     move_dest,
+    neighbours,
     occupied_cell,
     reward,
     territory_cell,
@@ -98,9 +99,43 @@ def test_move_dest(loc, action, size, expected):
     assert move_dest(loc, action, size) == expected
 
 
-def test_move_dest_rejects_defer():
+@pytest.mark.parametrize(
+    "loc,action,size",
+    [
+        (5, Action.DEFER, 4),
+        (3, Action.RIGHT, 4),  # index 4 is the next row's first cell
+        (0, Action.UP, 4),  # index -4 would read from the board's end
+    ],
+    ids=["defer", "row_wrap", "off_top"],
+)
+def test_move_dest_rejects_non_moves(loc, action, size):
     with pytest.raises(ValueError):
-        move_dest(5, Action.DEFER, 4)
+        move_dest(loc, action, size)
+
+
+@settings(max_examples=20, deadline=None)
+@given(size=st.integers(2, 8))
+def test_neighbours_match_row_column_geometry(size):
+    """Every cell's table entry is the row/column steps that stay on the
+    board, in canonical order. Written with divmod rather than index
+    arithmetic, so it checks the geometry that run_game and the GameState
+    rules share."""
+    steps = [
+        (Action.UP, -1, 0),
+        (Action.DOWN, 1, 0),
+        (Action.LEFT, 0, -1),
+        (Action.RIGHT, 0, 1),
+    ]
+    table = neighbours(size)
+    assert len(table) == size * size
+    for loc, dests in enumerate(table):
+        row, col = divmod(loc, size)
+        expected = [
+            (a, (row + dr) * size + col + dc)
+            for a, dr, dc in steps
+            if 0 <= row + dr < size and 0 <= col + dc < size
+        ]
+        assert list(dests.items()) == expected
 
 
 # --- legality ----------------------------------------------------------------
