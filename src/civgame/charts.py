@@ -16,7 +16,8 @@ from .experiment import ACTIONS_HEADER, LEARNING_CURVE_HEADER
 
 
 class ChartError(ValueError):
-    """CSV is missing, malformed, or has no plottable rows."""
+    """CSV is malformed or has no plottable rows. A CSV that cannot be
+    opened raises the OSError itself, an I/O failure."""
 
 
 PANEL_W = 760
@@ -127,8 +128,6 @@ def _read_rows(path: str) -> tuple[list[str], list[dict]]:
             reader = csv.DictReader(f)
             header = reader.fieldnames or []
             rows = list(reader)
-    except OSError as exc:
-        raise ChartError(f"cannot read {path}: {exc}")
     except (csv.Error, UnicodeDecodeError) as exc:
         raise ChartError(f"{path} is not a readable CSV: {exc}")
     if not rows:

@@ -88,7 +88,11 @@ def parse_config(path: str | None) -> dict[str, Any]:
         return settings
     set_on: dict[str, int] = {}  # key -> the line that set it
     with open(path, encoding="utf-8") as f:
-        for line_no, raw in enumerate(f, start=1):
+        try:
+            lines = f.readlines()
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"config {path} is not UTF-8 text: {exc}")
+        for line_no, raw in enumerate(lines, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue

@@ -91,31 +91,6 @@ class RunConfig:
             raise ValueError("workers must be >= 1")
 
 
-@dataclass(frozen=True, slots=True)
-class MoveRecord:
-    """One ordinary turn; invaded_sample >= 0 marks a CI sampling point."""
-
-    step: int
-    player: int
-    key: bytes
-    action: Action
-    reward: int
-    invasion: bool
-    invaded_sample: int = -1
-
-
-@dataclass(frozen=True, slots=True)
-class VoteRecord:
-    """One vote move: every player casts a ballot and is paid at once."""
-
-    step: int
-    key: bytes
-    ballots: tuple[Action, ...]
-    rewards: tuple[int, ...]
-    success: bool
-    invaded_sample: int
-
-
 @dataclass
 class MetricsBin:
     """The bin_size turns from bin_start: their collective score (cs_sum),
@@ -156,13 +131,14 @@ class AgentSetup:
 @dataclass
 class RunResult:
     """One run_game trial: its bins, per-seat totals, and the Q-tables
-    and step trace when run_game is asked to keep them."""
+    when run_game is asked to keep them. The tests play each run again
+    through the GameState functions and compare its bins, totals and
+    table writes with theirs."""
 
     bins: list[MetricsBin]
     rewards_per_player: list[int]
     invasions_per_player: list[int]
     tables: list[QTable | None] | None = None
-    trace: list[MoveRecord | VoteRecord] | None = None
 
     @property
     def total_reward(self) -> int:
@@ -192,7 +168,6 @@ def run_game(
     cfg: RunConfig,
     trial_seed: int,
     setups: Sequence[AgentSetup] | None = None,
-    keep_trace: bool = False,
     keep_tables: bool = False,
 ) -> RunResult:
     """Play total_steps turns and fold metrics into bins.
@@ -208,7 +183,8 @@ def run_game(
     of forced-defer turns left. Each seat's cell also hands ola_broadcast
     the positions in the pre-move key. It plays by the rules that
     transition, sovereign_transition, reward and is_invasion define on
-    GameState; the tests replay its traces through those functions.
+    GameState; the tests play each run again through those functions and
+    compare its bins, per-seat totals and table writes with theirs.
     """
     p, hp, rc = cfg.players, cfg.hp, cfg.rewards
     sovereign = cfg.variant is Variant.SOVEREIGN
@@ -250,7 +226,6 @@ def run_game(
         MetricsBin(bin_start=j * cfg.bin_size, bin_size=cfg.bin_size, players=p)
         for j in range(num_bins)
     ]
-    trace: list[MoveRecord | VoteRecord] | None = [] if keep_trace else None
     rewards_per_player = [0] * p
     invasions_per_player = [0] * p
 
@@ -315,10 +290,6 @@ def run_game(
                 for i in range(p):
                     counts[i][ballots[i]] += 1
                     rewards_per_player[i] += payouts[i]
-                if trace is not None:
-                    trace.append(
-                        VoteRecord(t, key, ballots, payouts, success, ci)
-                    )
                 key = next_key
                 continue
 
@@ -383,8 +354,6 @@ def run_game(
             counts[i][action] += 1
             if ci >= 0:
                 b.invasions += ci
-            if trace is not None:
-                trace.append(MoveRecord(t, i, key, action, r, invasion, ci))
             key = next_key
 
     return RunResult(
@@ -392,7 +361,6 @@ def run_game(
         rewards_per_player=rewards_per_player,
         invasions_per_player=invasions_per_player,
         tables=tables if keep_tables else None,
-        trace=trace,
     )
 
 

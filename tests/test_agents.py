@@ -22,9 +22,9 @@ from civgame.agents import (
     q_update,
     select_action,
 )
-from civgame.experiment import AgentSetup, RunConfig, Variant, VoteRecord, run_game
+from civgame.experiment import AgentSetup, RunConfig, Variant, run_game
 from civgame.game import Action, GameState, encode_state, initial_state, occupied_cell
-from conftest import LoggingQTable
+from conftest import LoggingQTable, replay_against_oracle
 
 HP = Hyperparams()
 
@@ -364,20 +364,18 @@ def test_agent_mode_flags():
         agent_kinds=(AgentKind.QLEARNER,) * 2, variant=Variant.SOVEREIGN,
     )
     for kind in (AgentKind.HQLEARNER, AgentKind.QLEARNER):
-        tables = [LoggingQTable(), LoggingQTable()]
-        setups = [AgentSetup(kind, table=t) for t in tables]
-        res = run_game(cfg, 5, setups=setups, keep_trace=True)
+        res, steps = replay_against_oracle(cfg, 5, [AgentSetup(kind)] * 2)
         turns = [0, 0]
         vote_updates = [0, 0]  # on success everyone, else defer voters
-        for record in res.trace:
-            if isinstance(record, VoteRecord):
+        for step in steps:
+            if step.mover is None:
                 for i in range(2):
                     vote_updates[i] += (
-                        record.success or record.ballots[i] is Action.DEFER
+                        step.passed or step.actions[i] is Action.DEFER
                     )
             else:
-                turns[record.player] += 1
-        writes = [len(t.write_log) for t in tables]
+                turns[step.mover] += 1
+        writes = [len(t.write_log) for t in res.tables]
         if kind is AgentKind.HQLEARNER:
             assert sum(vote_updates) > 0
             # own turns, vote payouts, one broadcast per turn of the other

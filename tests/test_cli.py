@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from civgame.agents import AgentKind, QTable
-from civgame.charts import ChartError, render_csv
+from civgame.charts import render_csv
 from civgame.cli import main
 from civgame.config import SCHEMA, ConfigError, load_config, parse_config
 from civgame.experiment import RunConfig, Variant
@@ -162,6 +162,10 @@ def test_simulate_bad_config_exits_2(tmp_path, capsys):
     cfg = write(tmp_path, "run.cfg", "nonsense=1\n")
     assert run_cli(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 2
     assert "nonsense" in capsys.readouterr().err
+    # bytes that are not UTF-8: the error names the file
+    (tmp_path / "run.cfg").write_bytes(b"\xff\xfe")
+    assert run_cli(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert cfg in capsys.readouterr().err
 
 
 def test_simulate_invalid_bin_exits_2(tmp_path):
@@ -367,8 +371,16 @@ def test_render_csv_reads_the_csv_once(tmp_path, monkeypatch):
 
 
 def test_render_csv_dispatch_errors(tmp_path):
-    with pytest.raises(ChartError):
+    with pytest.raises(FileNotFoundError):
         render_csv(str(tmp_path / "missing.csv"))
+
+
+def test_plot_unreadable_csv_exits_3(tmp_path, capsys):
+    # an I/O failure, as for a missing config file
+    for path in (tmp_path / "missing.csv", tmp_path):
+        assert run_cli(["plot", str(path), "--out", str(tmp_path / "x.svg")]) == 3
+        assert str(path) in capsys.readouterr().err
+    assert not (tmp_path / "x.svg").exists()
 
 
 # --- exit-code contract -----------------------------------------------------------

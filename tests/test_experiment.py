@@ -1,4 +1,4 @@
-"""Harness: binning, traces, determinism, aggregation, CSV round-trips."""
+"""Harness: binning, replayed runs, determinism, aggregation, CSV round-trips."""
 
 import csv
 import re
@@ -6,15 +6,12 @@ import re
 import pytest
 
 from civgame import charts
-from civgame.agents import AgentKind
+from civgame.agents import AgentKind, dump_qtable
 from civgame.experiment import (
     LEARNING_CURVE_HEADER,
-    AgentSetup,
     MetricsBin,
-    MoveRecord,
     RunConfig,
     Variant,
-    VoteRecord,
     run_game,
     run_trials,
     trial_seed,
@@ -22,6 +19,7 @@ from civgame.experiment import (
     write_learning_curve,
 )
 from civgame.game import Action
+from conftest import replay_against_oracle
 
 
 def small_cfg(**kw) -> RunConfig:
@@ -54,13 +52,18 @@ def test_single_bin_run():
 
 
 def test_deterministic_same_seed_identical_traces():
-    cfg = small_cfg(total_steps=1_000, bin_size=1_000)
-    a = run_game(cfg, 5, keep_trace=True)
-    b = run_game(cfg, 5, keep_trace=True)
-    assert a.trace == b.trace
-    assert a.total_reward == b.total_reward
-    c = run_game(cfg, 6, keep_trace=True)
-    assert c.trace != a.trace
+    cfg = small_cfg(total_steps=1_000, bin_size=100)
+    a, b, c = (run_game(cfg, seed, keep_tables=True) for seed in (5, 5, 6))
+
+    def dumps(res):
+        return [dump_qtable(t) for t in res.tables]
+
+    assert a.bins == b.bins
+    assert a.rewards_per_player == b.rewards_per_player
+    assert a.invasions_per_player == b.invasions_per_player
+    assert dumps(a) == dumps(b)
+    assert c.bins != a.bins
+    assert dumps(c) != dumps(a)
 
 
 def test_metric_conservation_sum_bins_equals_env_total():
@@ -71,71 +74,20 @@ def test_metric_conservation_sum_bins_equals_env_total():
         assert sum(res.rewards_per_player) == res.total_reward
 
 
-def replay_trace(trace, players, bin_size):
-    """Independent oracle: recount a run's metrics from its trace alone.
-
-    Returns (per-bin dicts, rewards, moves, invasions per player). A vote
-    pays and counts one move for every seat, and carries the invaded-flag
-    sample of its cycle; ordinary turns carry a sample (>= 0) only where
-    the base game's cycle starts.
-    """
-    bins = []
-    rewards = [0] * players
-    moves = [0] * players
-    invasions = [0] * players
-    for start in range(0, len(trace), bin_size):
-        b = {
-            "cs_sum": 0,
-            "invasions": 0,
-            "successful_defers": 0,
-            "action_counts": [[0] * 6 for _ in range(players)],
-        }
-        for record in trace[start : start + bin_size]:
-            if isinstance(record, VoteRecord):
-                b["cs_sum"] += sum(record.rewards)
-                b["invasions"] += record.invaded_sample
-                b["successful_defers"] += record.success
-                for i in range(players):
-                    b["action_counts"][i][record.ballots[i]] += 1
-                    rewards[i] += record.rewards[i]
-                    moves[i] += 1
-            else:
-                i = record.player
-                b["cs_sum"] += record.reward
-                if record.invaded_sample >= 0:
-                    b["invasions"] += record.invaded_sample
-                b["action_counts"][i][record.action] += 1
-                rewards[i] += record.reward
-                moves[i] += 1
-                invasions[i] += record.invasion
-        bins.append(b)
-    return bins, rewards, moves, invasions
-
-
 def test_bins_match_trace_refold():
     for variant in (Variant.BASE, Variant.SOVEREIGN):
         cfg = small_cfg(total_steps=4_000, bin_size=1_000, variant=variant)
-        res = run_game(cfg, 9, keep_trace=True)
-        bins, rewards, moves, invasions = replay_trace(res.trace, 4, 1_000)
-        assert len(bins) == len(res.bins) == 4
-        for want, got in zip(bins, res.bins):
-            assert got.cs_sum == want["cs_sum"]
-            assert got.invasions == want["invasions"]
-            assert got.successful_defers == want["successful_defers"]
-        assert res.rewards_per_player == rewards
-        assert res.moves_per_player == moves
-        assert res.invasions_per_player == invasions
-        assert sum(invasions) > 0  # the invasion counters were exercised
+        res, _ = replay_against_oracle(cfg, 9)
+        assert len(res.bins) == 4
+        assert sum(res.invasions_per_player) > 0  # the invasion counters were exercised
 
 
 def test_action_breakdown_matches_bins():
-    for variant in (Variant.BASE, Variant.SOVEREIGN):
+    # a bin's 1,000 steps: 1,000 turns, or 800 turns and 200 four-seat votes
+    for variant, moves in ((Variant.BASE, 1_000), (Variant.SOVEREIGN, 1_600)):
         cfg = small_cfg(total_steps=3_000, bin_size=1_000, variant=variant)
-        res = run_game(cfg, 8, keep_trace=True)
-        bins, _, _, _ = replay_trace(res.trace, 4, 1_000)
-        assert [b["action_counts"] for b in bins] == [
-            b.action_counts for b in res.bins
-        ]
+        res, _ = replay_against_oracle(cfg, 8)
+        assert [sum(map(sum, b.action_counts)) for b in res.bins] == [moves] * 3
 
 
 def test_action_counts_partition_moves():
@@ -144,6 +96,8 @@ def test_action_counts_partition_moves():
     for player in range(4):
         total = sum(b.action_counts[player][a] for b in res.bins for a in range(6))
         assert total == res.moves_per_player[player]
+    # 1,000 five-step cycles: one turn and one ballot per seat in each
+    assert res.moves_per_player == [2_000] * 4
 
 
 def test_stay_never_chosen_on_open_board():
@@ -174,34 +128,32 @@ def test_sd_bounded_by_vote_opportunities():
 
 def test_base_variant_has_no_votes_or_defers():
     cfg = small_cfg(total_steps=2_500, variant=Variant.BASE)
-    res = run_game(cfg, 21, keep_trace=True)
-    assert all(isinstance(r, MoveRecord) for r in res.trace)
+    res, steps = replay_against_oracle(cfg, 21)
+    assert all(step.mover is not None for step in steps)
+    assert sum(res.moves_per_player) == 2_500  # one move per step, no ballots
     assert res.bins[0].successful_defers == 0
     assert all(b.action_counts[i][Action.DEFER] == 0 for b in res.bins for i in range(4))
 
 
 def test_vote_records_appear_every_cycle():
     cfg = small_cfg(total_steps=500, bin_size=500)
-    res = run_game(cfg, 30, keep_trace=True)
-    votes = [r for r in res.trace if isinstance(r, VoteRecord)]
+    _, steps = replay_against_oracle(cfg, 30)
+    votes = [step for step in steps if step.mover is None]
     assert len(votes) == 500 // 5
-    assert all(r.step % 5 == 4 for r in votes)
+    assert all(step.t % 5 == 4 for step in votes)
 
 
 def test_forced_defer_cycle_counts_defers_for_everyone():
     cfg = small_cfg(total_steps=2_500)
-    res = run_game(cfg, 31, keep_trace=True)
-    votes = [r for r in res.trace if isinstance(r, VoteRecord)]
-    successes = [r for r in votes if r.success]
-    if not successes:  # pragma: no cover - seed-dependent guard
-        pytest.skip("no successful vote at this seed")
-    first = successes[0].step
-    # the next p records after a success are forced defers by players 0..3
+    res, steps = replay_against_oracle(cfg, 31)
+    successes = [step for step in steps if step.passed]
+    assert successes and res.bins[0].successful_defers == len(successes)
+    first = successes[0].t
+    # the next p steps after a success are forced defers by players 0..3
     for offset in range(1, 5):
-        record = res.trace[first + offset]
-        assert isinstance(record, MoveRecord)
-        assert record.action is Action.DEFER
-        assert record.player == offset - 1
+        step = steps[first + offset]
+        assert step.mover == offset - 1
+        assert step.actions == (Action.DEFER,)
 
 
 def test_random_tables_never_created():

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from civgame.agents import AgentKind, QTable
-from civgame.experiment import AgentSetup, MoveRecord, RunConfig, Variant, run_game
+from civgame.experiment import AgentSetup, RunConfig, Variant, run_game
 from civgame.matrix import (
     AnalysisConfig,
     DilemmaClass,
@@ -21,17 +21,24 @@ from civgame.matrix import (
     run_payoff_trials,
     write_matrix_csv,
 )
+from conftest import replay_against_oracle
 
 TH = Thresholds()
 
 
-def sovereign_run(steps, seed, keep_trace=False):
-    cfg = RunConfig(
+def sovereign_cfg(steps, seed):
+    return RunConfig(
         size=4, players=2, total_steps=steps, bin_size=steps, trials=1,
         agent_kinds=(AgentKind.QLEARNER,) * 2, seed=seed,
         variant=Variant.SOVEREIGN,
     )
-    return run_game(cfg, seed, keep_trace=keep_trace)
+
+
+def own_moves(steps, player):
+    """The player's turns and ballots among the replay's steps, and how
+    many of its turns invaded."""
+    own = [s for s in steps if s.mover in (None, player)]
+    return len(own), sum(s.invasion for s in own)
 
 
 # --- social behavior metric ------------------------------------------------
@@ -44,7 +51,7 @@ def test_social_metric_arithmetic():
 
 def test_social_metric_counts_ballots_as_moves():
     # 2 players: a vote every 3rd step, and each vote is a move for both
-    res = sovereign_run(600, 6)
+    res = run_game(sovereign_cfg(600, 6), 6)
     votes = 600 // 3
     assert sum(res.moves_per_player) == (600 - votes) + 2 * votes
     assert res.moves_per_player == [400, 400]
@@ -56,29 +63,25 @@ def test_social_metric_requires_100_moves():
 
 
 def test_alpha_from_counts_matches_social_metric():
-    """alpha from the run's counters is invasions per 100 moves of the trace."""
-    res = sovereign_run(600, 6, keep_trace=True)
-    own = [r for r in res.trace if not isinstance(r, MoveRecord) or r.player == 1]
-    invasions = sum(isinstance(r, MoveRecord) and r.invasion for r in own)
+    """alpha from the run's counters is invasions per 100 of the replay's moves."""
+    res, steps = replay_against_oracle(sovereign_cfg(600, 6), 6)
+    moves, invasions = own_moves(steps, 1)
     assert invasions > 0
     assert alpha_from_counts(
         res.invasions_per_player[1], res.moves_per_player[1]
-    ) == 100.0 * invasions / len(own)
+    ) == 100.0 * invasions / moves
 
 
 def test_social_metric_agrees_with_run_counters():
-    """Each seat's alpha from the run's counters equals its trace recount."""
-    res = sovereign_run(600, 6, keep_trace=True)
+    """Each seat's alpha from the run's counters equals its replay recount."""
+    res, steps = replay_against_oracle(sovereign_cfg(600, 6), 6)
     for player in range(2):
-        own = [
-            r for r in res.trace if not isinstance(r, MoveRecord) or r.player == player
-        ]
-        invasions = sum(isinstance(r, MoveRecord) and r.invasion for r in own)
+        moves, invasions = own_moves(steps, player)
         assert res.invasions_per_player[player] == invasions
-        assert res.moves_per_player[player] == len(own)
+        assert res.moves_per_player[player] == moves
         assert alpha_from_counts(
             res.invasions_per_player[player], res.moves_per_player[player]
-        ) == alpha_from_counts(invasions, len(own))
+        ) == alpha_from_counts(invasions, moves)
 
 
 # --- classification ----------------------------------------------------------
@@ -170,7 +173,7 @@ def test_long_term_payoff_counts_votes_and_moves():
     cfg = AnalysisConfig(size=4, players=2, match_variant=Variant.SOVEREIGN)
     tables = [QTable(), QTable()]
     payoffs, _, _ = play_matchup(cfg, tables, [1.0, 1.0], 300, 4)
-    # the same match, replayed from its trace
+    # the same match, replayed through the GameState rules
     run_cfg = RunConfig(
         size=4, players=2, total_steps=300, bin_size=300, trials=1,
         agent_kinds=(AgentKind.QLEARNER,) * 2, variant=Variant.SOVEREIGN,
@@ -179,15 +182,8 @@ def test_long_term_payoff_counts_votes_and_moves():
         AgentSetup(AgentKind.QLEARNER, table=t, learn=False, fixed_eps=1.0)
         for t in tables
     ]
-    res = run_game(run_cfg, 4, setups=setups, keep_trace=True)
-    totals = [0, 0]
-    for record in res.trace:
-        if isinstance(record, MoveRecord):
-            totals[record.player] += record.reward
-        else:
-            totals[0] += record.rewards[0]
-            totals[1] += record.rewards[1]
-    assert payoffs == [totals[0] / 300, totals[1] / 300]
+    res, _ = replay_against_oracle(run_cfg, 4, setups)
+    assert payoffs == [r / 300 for r in res.rewards_per_player]
 
 
 # --- matchup plumbing -----------------------------------------------------------
