@@ -8,7 +8,6 @@ per-player action breakdown for the actions schema.
 from __future__ import annotations
 
 import csv
-import math
 import statistics
 from collections import defaultdict
 
@@ -28,6 +27,9 @@ MARGIN_T = 34
 MARGIN_B = 36
 COLORS = ["#2b6cb0", "#c53030", "#2f855a", "#b7791f", "#6b46c1", "#4a5568"]
 BAND_FILL = "#2b6cb0"
+# The largest magnitude drawn: sums and spans of values this size stay
+# finite, and so does every coordinate.
+PLOT_LIMIT = 1e300
 
 
 def _fmt(v: float) -> str:
@@ -38,7 +40,7 @@ def _scale(values: list[float], lo_px: float, hi_px: float):
     lo, hi = min(values), max(values)
     if hi == lo:
         hi = lo + 1.0
-    span = hi - lo
+    span = hi - lo or 1.0  # when 1.0 is below lo's precision
     return lambda v: lo_px + (v - lo) / span * (hi_px - lo_px), lo, hi
 
 
@@ -135,6 +137,14 @@ def _read_rows(path: str) -> tuple[list[str], list[dict]]:
     return list(header), rows
 
 
+def _number(row: dict, column: str, parse=float):
+    """row[column] parsed, if a chart can draw it: within ±PLOT_LIMIT."""
+    value = parse(row[column])
+    if not abs(value) <= PLOT_LIMIT:
+        raise ValueError(f"{column} is {row[column]!r}")
+    return value
+
+
 def _render_learning_curve(path: str, rows: list[dict]) -> str:
     """Three stacked panels: score average, invasions, successful defers."""
     titles = [
@@ -147,12 +157,9 @@ def _render_learning_curve(path: str, rows: list[dict]) -> str:
     )
     for n, row in enumerate(rows, start=1):
         try:
-            start = int(row["bin_start"])
+            start = _number(row, "bin_start", int)
             for column, _ in titles:
-                value = float(row[column])
-                if not math.isfinite(value):
-                    raise ValueError(f"{column} is {row[column]!r}")
-                by_bin[start][column].append(value)
+                by_bin[start][column].append(_number(row, column))
         except (TypeError, ValueError) as exc:
             raise ChartError(
                 f"{path}: malformed learning-curve data row {n}: {exc}"
@@ -178,8 +185,9 @@ def _render_actions(path: str, rows: list[dict]) -> str:
         try:
             if int(row["trial"]) != 0:
                 continue
-            counts = [int(row[name]) for name in names]
-            by_player[int(row["player"])][int(row["bin_start"])] = counts
+            counts = [_number(row, name, int) for name in names]
+            start = _number(row, "bin_start", int)
+            by_player[int(row["player"])][start] = counts
         except (TypeError, ValueError) as exc:
             raise ChartError(f"{path}: malformed actions data row {n}: {exc}")
     if not by_player:

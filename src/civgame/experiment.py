@@ -141,11 +141,6 @@ class RunResult:
     tables: list[QTable | None] | None = None
 
     @property
-    def total_reward(self) -> int:
-        """Everything the environment paid out, summed over the seats."""
-        return sum(self.rewards_per_player)
-
-    @property
     def moves_per_player(self) -> list[int]:
         """Each seat's moves, ballots included: its action counts summed."""
         return [
@@ -218,6 +213,9 @@ def run_game(
     terr = [0] * p  # territory cells per seat
     terr0, occ0 = territory_cell(0), occupied_cell(0)
     cycle = p + 1 if sovereign else p  # move values, the vote move included
+    # the invasions metric counts the raised flags once a cycle, at the
+    # top of the vote (sovereign) or of seat 0's turn (base)
+    sample_at = p if sovereign else 0
     forced = 0  # forced-defer turns left after a successful vote
     bonus, penalty = rc.invasion_bonus, rc.invasion_penalty
 
@@ -239,15 +237,16 @@ def run_game(
 
     eps0, decay = hp.eps0, hp.eps_decay
     defer, stay = Action.DEFER, Action.STAY
-    vote_passed = (rc.vote_bonus,) * p
+    vote_bonus, vote_penalty = rc.vote_bonus, rc.vote_penalty
     move = 0
     legal = legal_of(0)  # the legal set of the seat to move
     for b in bins:
         counts = b.action_counts
         for t in range(b.bin_start, b.bin_start + b.bin_size):
             eps = eps0 * decay**t  # epsilon_at(t, hp)
+            if move == sample_at:
+                b.invasions += sum(k[invaded_at:move_at])
             if move == p:  # the sovereign vote
-                ci = sum(k[invaded_at:move_at])
                 ballots = []
                 for i in range(p):
                     options = ballot_options[i]
@@ -260,41 +259,31 @@ def run_game(
                             tables[i], key, options,
                             eps if seat_eps is None else seat_eps, rng,
                         ))
-                ballots = tuple(ballots)
                 success = vote_succeeds(ballots, p)
-                if success:
-                    payouts = vote_passed
-                else:
-                    payouts = tuple(
-                        rc.vote_penalty if a is defer else 0 for a in ballots
-                    )
                 # the sovereign flag is zeroed within the vote step, so
                 # only the move byte changes
                 move = k[move_at] = 0
                 next_key = bytes(k)
                 forced = p if success else 0
                 legal = [defer] if success else legal_of(0)
-                for i in range(p):
-                    # vote payouts cause a Q-update only for sovereign-aware
-                    # learners: on success everyone updates as if it had
-                    # deferred, on failure only the duped defer voters
-                    # learn the penalty
-                    if hq[i] and (success or ballots[i] is defer):
-                        q_update(
-                            tables[i], key, defer, payouts[i],
-                            next_key, legal, hp,
-                        )
-                b.cs_sum += sum(payouts)
-                b.invasions += ci
+                for i, ballot in enumerate(ballots):
+                    # on success every seat gets the bonus, on failure each
+                    # duped defer voter the penalty; a sovereign-aware
+                    # learner learns the payout as that of a DEFER
+                    duped = not success and ballot is defer
+                    payout = (
+                        vote_bonus if success else vote_penalty if duped else 0
+                    )
+                    if hq[i] and (success or duped):
+                        q_update(tables[i], key, defer, payout, next_key, legal, hp)
+                    counts[i][ballot] += 1
+                    rewards_per_player[i] += payout
+                    b.cs_sum += payout
                 b.successful_defers += success
-                for i in range(p):
-                    counts[i][ballots[i]] += 1
-                    rewards_per_player[i] += payouts[i]
                 key = next_key
                 continue
 
             i = move
-            ci = sum(k[invaded_at:move_at]) if not sovereign and i == 0 else -1
             rng = rngs[i]
             if randoms[i]:
                 action = legal[rng.randrange(len(legal))]
@@ -352,8 +341,6 @@ def run_game(
             invasions_per_player[i] += invasion
             b.cs_sum += r
             counts[i][action] += 1
-            if ci >= 0:
-                b.invasions += ci
             key = next_key
 
     return RunResult(

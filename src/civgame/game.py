@@ -220,19 +220,14 @@ def is_invasion(state: GameState, action: Action) -> bool:
     return is_territory(cell) and cell_owner(cell) != mover
 
 
-def reward(
-    state: GameState, action: Action, cfg: RewardConfig, player: int | None = None
-) -> int:
+def reward(state: GameState, action: Action, cfg: RewardConfig) -> int:
     """Mover's reward for taking `action` from the pre-transition state.
 
     Farming pays one point per Territory cell (the occupied cell itself
     does not count), invading pays the bonus, and a raised invaded flag
     costs the penalty. A DEFER (sovereign forced turn) farms only.
-    Asking about a non-mover always yields 0.
     """
     mover = state.move
-    if player is not None and player != mover:
-        return 0
     terr = state.board.count(_TERR_BASE + mover)
     if action == Action.DEFER:
         return terr

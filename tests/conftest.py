@@ -1,6 +1,8 @@
 """Fixtures and helpers shared by the test modules."""
 
+from collections import deque
 from dataclasses import replace
+from functools import cache
 from typing import NamedTuple
 
 import pytest
@@ -28,6 +30,23 @@ from civgame.sovereign import (
     sovereign_reward,
     sovereign_transition,
 )
+
+
+@cache
+def enumerate_reachable(size: int, players: int) -> frozenset:
+    """BFS over the module's own legality and transition; computed once
+    per board, since several tests walk the same set."""
+    start = initial_state(size, players)
+    seen = {start}
+    queue = deque(seen)
+    while queue:
+        s = queue.popleft()
+        for a in legal_actions(s, s.move):
+            t = transition(s, a)
+            if t not in seen:
+                seen.add(t)
+                queue.append(t)
+    return frozenset(seen)
 
 
 class LoggingQTable(QTable):

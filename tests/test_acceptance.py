@@ -8,9 +8,7 @@ import csv
 import random
 import statistics
 import time
-from collections import deque
 from contextlib import contextmanager
-from functools import cache
 from types import SimpleNamespace
 
 import pytest
@@ -19,7 +17,6 @@ from civgame.agents import (
     AgentKind,
     Hyperparams,
     QTable,
-    epsilon_at,
     ola_state,
     q_update,
 )
@@ -43,14 +40,13 @@ from civgame.game import (
     is_territory,
     legal_actions,
     move_dest,
-    occupied_cell,
     reward,
     territory_cell,
     transition,
 )
 from civgame.matrix import DilemmaClass, PayoffMatrix
 from civgame.sovereign import sovereign_transition
-from conftest import LoggingQTable
+from conftest import LoggingQTable, enumerate_reachable
 
 
 @contextmanager
@@ -61,23 +57,6 @@ def criterion(number: int, title: str):
         print(f"ACCEPTANCE {number} [{title}]: FAIL")
         raise
     print(f"ACCEPTANCE {number} [{title}]: PASS")
-
-
-@cache
-def enumerate_reachable(size: int, players: int) -> frozenset:
-    """BFS over the module's own legality and transition; computed once
-    per board, since three criteria walk the 3x3 set."""
-    start = initial_state(size, players)
-    seen = {start}
-    queue = deque(seen)
-    while queue:
-        s = queue.popleft()
-        for a in legal_actions(s, s.move):
-            t = transition(s, a)
-            if t not in seen:
-                seen.add(t)
-                queue.append(t)
-    return frozenset(seen)
 
 
 def test_criterion_1_state_count_exactness():
@@ -400,5 +379,6 @@ def test_criterion_10_metric_conservation():
                     trials=1, agent_kinds=kinds, seed=5, variant=variant,
                 )
                 res = run_game(cfg, trial_seed(cfg.seed, 0))
-                assert isinstance(res.total_reward, int)
-                assert sum(b.cs_sum for b in res.bins) == res.total_reward
+                total = sum(res.rewards_per_player)
+                assert isinstance(total, int)
+                assert sum(b.cs_sum for b in res.bins) == total

@@ -197,26 +197,6 @@ def test_q_update_myopic_alpha_one_gamma_zero():
     assert q.value(b"s", Action.UP) == 7.0
 
 
-def test_bellman_identity_random_tuples():
-    rng = random.Random(42)
-    q = QTable()
-    for i in range(10_000):
-        key = rng.randbytes(6)
-        nxt = rng.randbytes(6)
-        a = Action(rng.randrange(6))
-        old = rng.uniform(-50, 50)
-        q.set(key, a, old)
-        legal = [Action(j) for j in range(rng.randrange(1, 7))]
-        values = {b: rng.uniform(-50, 50) for b in legal}
-        for b, v in values.items():
-            q.set(nxt, b, v)
-        r = rng.uniform(-30, 30)
-        hp = Hyperparams(alpha=rng.random(), gamma=rng.random())
-        q_update(q, key, a, r, nxt, legal, hp)
-        expected = (1 - hp.alpha) * old + hp.alpha * (r + hp.gamma * max(values.values()))
-        assert abs(q.value(key, a) - expected) < 1e-12
-
-
 @settings(max_examples=200, deadline=None)
 @given(
     old=st.floats(-100, 100),

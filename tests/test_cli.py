@@ -1,19 +1,25 @@
 """Config parsing, CLI commands, exit codes, file emission, SVG output."""
 
+import math
 import os
 import re
 import tempfile
 import xml.etree.ElementTree as ET
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from civgame.agents import AgentKind, QTable
 from civgame.charts import render_csv
 from civgame.cli import main
 from civgame.config import SCHEMA, ConfigError, load_config, parse_config
-from civgame.experiment import RunConfig, Variant
+from civgame.experiment import (
+    ACTIONS_HEADER,
+    LEARNING_CURVE_HEADER,
+    RunConfig,
+    Variant,
+)
 from civgame.matrix import AnalysisConfig, TrainedPolicy
 
 
@@ -143,19 +149,6 @@ def test_simulate_writes_outputs(tmp_path):
     assert len(actions) == 1 + 2 * 4 * 4
     manifest = (out / "run_manifest.txt").read_text()
     assert "seed=9" in manifest
-
-
-def test_simulate_is_byte_deterministic(tmp_path):
-    cfg = write(tmp_path, "run.cfg", SMALL)
-    out1, out2, out3 = (tmp_path / n for n in ("a", "b", "c"))
-    assert run_cli(["simulate", "--config", cfg, "--out", str(out1)]) == 0
-    assert run_cli(["simulate", "--config", cfg, "--out", str(out2)]) == 0
-    assert run_cli(
-        ["simulate", "--config", cfg, "--out", str(out3), "--seed", "10"]
-    ) == 0
-    for name in ("learning_curve.csv", "actions.csv"):
-        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
-        assert (out1 / name).read_bytes() != (out3 / name).read_bytes()
 
 
 def test_simulate_bad_config_exits_2(tmp_path, capsys):
@@ -381,6 +374,77 @@ def test_plot_unreadable_csv_exits_3(tmp_path, capsys):
         assert run_cli(["plot", str(path), "--out", str(tmp_path / "x.svg")]) == 3
         assert str(path) in capsys.readouterr().err
     assert not (tmp_path / "x.svg").exists()
+
+
+_MAX = "1.7976931348623157e+308"
+# number text: small counts, the float edge cases, and ints past the
+# float range or past int()'s digit limit
+_PLOT_COUNT = st.integers(0, 5).map(str)
+_PLOT_NUMBER = st.one_of(
+    _PLOT_COUNT,
+    st.sampled_from([
+        "nan", "inf", "-inf", "1e400", "1e17", _MAX, "-" + _MAX,
+        "1" + "0" * 400, "9" * 5000,
+    ]),
+    st.integers().map(str),
+    st.floats().map(repr),
+)
+_PLOT_TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=4)
+
+
+def _plot_row(width):
+    """A row of counts or of any numbers, of the header's width, or a
+    ragged row that may hold any text (empty, non-ASCII, NUL, quotes,
+    line breaks)."""
+    return st.one_of(
+        st.lists(_PLOT_COUNT, min_size=width, max_size=width),
+        st.lists(_PLOT_NUMBER, min_size=width, max_size=width),
+        st.lists(_PLOT_NUMBER | _PLOT_TEXT,
+                 min_size=max(0, width - 2), max_size=width + 2),
+    )
+
+
+_PLOT_CSV = st.sampled_from([LEARNING_CURVE_HEADER, ACTIONS_HEADER]).flatmap(
+    lambda header: st.tuples(
+        st.just(header),
+        st.lists(_plot_row(len(header)), max_size=4),
+        # a tail that is not UTF-8, or a NUL byte
+        st.sampled_from([b"", b"\x00", b"\xff", b"\xc3", b"\x80 tail\n"]),
+    )
+)
+# a number as the SVG writes it, or a non-finite value's name
+_SVG_NUMBER = re.compile(
+    r"[-+]?(?:\d+\.?\d*|\.\d+)(?:e[-+]?\d+)?|\b(?:nan|inf|infinity)\b", re.I
+)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(csv_parts=_PLOT_CSV)
+# a constant value the axis cannot add 1.0 to, a span past the float
+# range, and a bin_start past it
+@example(csv_parts=(LEARNING_CURVE_HEADER, [[*"000", "1e17", *"00"]], b""))
+@example(csv_parts=(LEARNING_CURVE_HEADER, [
+    [*"000", _MAX, *"00"], [*"010", "-" + _MAX, *"00"],
+], b""))
+@example(csv_parts=(ACTIONS_HEADER, [["0", "1" + "0" * 400, "0", *"111111"]], b""))
+def test_plot_exit_codes_hold_for_any_csv_bytes(csv_parts):
+    """plot either draws only finite numbers (exit 0) or rejects the CSV
+    (exit 2); it never writes a non-finite coordinate or a traceback."""
+    header, rows, tail = csv_parts
+    text = "".join(",".join(cells) + "\n" for cells in [header, *rows])
+    with tempfile.TemporaryDirectory() as tmp:
+        path, svg_path = os.path.join(tmp, "in.csv"), os.path.join(tmp, "x.svg")
+        with open(path, "wb") as f:
+            f.write(text.encode("utf-8") + tail)
+        code = main(["plot", path, "--out", svg_path])
+        assert code in (0, 2)
+        if code == 2:
+            assert not os.path.exists(svg_path)
+            return
+        with open(svg_path, encoding="utf-8") as f:
+            svg = f.read()
+    ET.fromstring(svg)
+    assert all(math.isfinite(float(m)) for m in _SVG_NUMBER.findall(svg))
 
 
 # --- exit-code contract -----------------------------------------------------------

@@ -26,6 +26,7 @@ from civgame.game import (
     territory_cell,
     transition,
 )
+from conftest import enumerate_reachable
 
 
 def put(state: GameState, cell: int, code: int) -> GameState:
@@ -382,19 +383,6 @@ def naive_reachable(size: int, players: int):
     return seen
 
 
-def module_reachable(size: int, players: int):
-    seen = {initial_state(size, players)}
-    queue = deque(seen)
-    while queue:
-        s = queue.popleft()
-        for a in legal_actions(s, s.move):
-            nxt = transition(s, a)
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    return seen
-
-
 def to_naive(state: GameState):
     board = []
     for c in state.board:
@@ -408,12 +396,12 @@ def to_naive(state: GameState):
 
 
 def test_reachable_2x2_matches_independent_oracle():
-    mod = module_reachable(2, 2)
+    mod = enumerate_reachable(2, 2)
     assert {to_naive(s) for s in mod} == naive_reachable(2, 2)
 
 
 def test_reachable_states_satisfy_structural_invariants():
-    for s in module_reachable(2, 2):
+    for s in enumerate_reachable(2, 2):
         for i in range(2):
             assert s.board.count(occupied_cell(i)) == 1
         assert 0 <= s.move < 2
@@ -424,7 +412,7 @@ def test_reachable_states_satisfy_structural_invariants():
 
 def test_reward_matches_naive_recomputation_2x2():
     cfg = RewardConfig()
-    for s in module_reachable(2, 2):
+    for s in enumerate_reachable(2, 2):
         for a in legal_actions(s, s.move):
             expected = s.board.count(territory_cell(s.move))
             if a != Action.STAY:
