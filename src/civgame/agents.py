@@ -22,7 +22,6 @@ from .game import BOARD_OFFSET, Action, GameState, key_offsets, occupied_cell
 from .game import encode_state  # noqa: F401
 
 NUM_ACTIONS = len(Action)
-_ZERO_ROW = (0.0,) * NUM_ACTIONS
 
 
 @dataclass(frozen=True)
@@ -56,8 +55,8 @@ def epsilon_at(t: int, hp: Hyperparams) -> float:
 class QTable:
     """Map from encoded state to one value per action.
 
-    A row exists only once `set` or `blend` has written to it; every read
-    of a key without a row sees all zeros and leaves the table as it is.
+    A row exists once `blend` writes it; every read of a key without a
+    row sees all zeros and leaves the table as it is.
     Unreinforced entries are therefore exact ties, and the uniform
     tie-breaking in select_action keeps unlearned choices stochastic.
     """
@@ -65,15 +64,6 @@ class QTable:
     def __init__(self) -> None:
         self.rows: dict[bytes, list[float]] = {}
         self.writes = 0
-
-    def value(self, key: bytes, action: Action) -> float:
-        return self.rows.get(key, _ZERO_ROW)[action]
-
-    def set(self, key: bytes, action: Action, value: float) -> None:
-        row = self.rows.get(key)
-        if row is None:
-            row = self.rows[key] = [0.0] * NUM_ACTIONS
-        row[action] = value
 
     def blend(self, key: bytes, action: Action, delta: float, alpha: float) -> None:
         """Core table write: Q <- (1 - alpha) * Q + delta."""

@@ -18,11 +18,9 @@ from .matrix import AnalysisConfig, Thresholds
 
 
 class ConfigError(ValueError):
-    """Bad config file content; carries the offending line."""
+    """Bad config file content; the message names the offending line."""
 
     def __init__(self, message: str, line_no: int, line: str):
-        self.line_no = line_no
-        self.line = line
         super().__init__(f"line {line_no}: {message}: {line!r}")
 
 

@@ -38,9 +38,6 @@ class PolicyClassificationError(ValueError):
     def __init__(
         self, coop_alpha: float, defect_alpha: float, thresholds: Thresholds
     ):
-        self.coop_alpha = coop_alpha
-        self.defect_alpha = defect_alpha
-        self.thresholds = thresholds
         super().__init__(
             f"policy classification failed: cooperative alpha={coop_alpha:.3f}, "
             f"defecting alpha={defect_alpha:.3f} "

@@ -61,7 +61,7 @@ class LoggingQTable(QTable):
         self.write_log: list = []
 
     def blend(self, key, action, delta, alpha):
-        old = self.value(key, action)
+        old = self.rows.get(key, (0.0,) * len(Action))[action]
         super().blend(key, action, delta, alpha)
         self.write_log.append((key, action, old, self.rows[key][action], delta))
 
@@ -70,7 +70,6 @@ class Step(NamedTuple):
     """One step as the GameState rules play it: an ordinary turn of
     `mover`, or (mover None) a vote with every seat's ballot and payout."""
 
-    t: int
     mover: int | None
     actions: tuple[Action, ...]  # the mover's action, or the ballots
     rewards: tuple[int, ...]  # the mover's reward, or the payouts
@@ -186,7 +185,7 @@ def replay_against_oracle(cfg, seed, setups=None):
                 rewards[i] += payouts[i]
             b.cs_sum += sum(payouts)
             b.successful_defers += passed
-            steps.append(Step(t, None, ballots, payouts, passed=passed))
+            steps.append(Step(None, ballots, payouts, passed=passed))
             continue
         mover = state.move
         legal = (
@@ -210,7 +209,7 @@ def replay_against_oracle(cfg, seed, setups=None):
         b.cs_sum += r
         rewards[mover] += r
         invasions[mover] += invasion
-        steps.append(Step(t, mover, (action,), (r,), invasion))
+        steps.append(Step(mover, (action,), (r,), invasion))
         if not learns[mover]:
             continue
         delta = bellman(mover, r, encode_state(state), legal_next)

@@ -138,17 +138,17 @@ def test_criterion_4_bellman_identity():
             key, nxt = rng.randbytes(8), rng.randbytes(8)
             a = Action(rng.randrange(6))
             old = rng.uniform(-100, 100)
-            q.set(key, a, old)
+            q.rows.setdefault(key, [0.0] * 6)[a] = old
             legal = [Action(j) for j in range(1 + rng.randrange(6))]
             vals = {}
             for b in legal:
                 vals[b] = rng.uniform(-100, 100)
-                q.set(nxt, b, vals[b])
+                q.rows.setdefault(nxt, [0.0] * 6)[b] = vals[b]
             r = rng.uniform(-40, 40)
             hp = Hyperparams(alpha=rng.random(), gamma=rng.random())
             q_update(q, key, a, r, nxt, legal, hp)
             want = (1 - hp.alpha) * old + hp.alpha * (r + hp.gamma * max(vals.values()))
-            assert abs(q.value(key, a) - want) < 1e-12
+            assert abs(q.rows[key][a] - want) < 1e-12
 
 
 def test_criterion_5_ola_write_pattern():

@@ -7,7 +7,7 @@ from collections import Counter
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from civgame.agents import (
@@ -64,8 +64,7 @@ def test_hyperparams_validate_range():
 def test_select_exploits_best_value():
     q = QTable()
     key = b"state"
-    q.set(key, Action.UP, 1.0)
-    q.set(key, Action.DOWN, 3.0)
+    q.rows[key] = [1.0, 3.0, 0.0, 0.0, 0.0, 0.0]  # UP 1, DOWN 3
     legal = [Action.UP, Action.DOWN]
     rng = random.Random(5)
     assert all(
@@ -86,8 +85,7 @@ def test_select_breaks_ties_uniformly():
     q = QTable()
     key = b"tied"
     legal = [Action.UP, Action.DOWN, Action.LEFT, Action.RIGHT]
-    for a in legal:
-        q.set(key, a, 0.25)
+    q.rows[key] = [0.25, 0.25, 0.25, 0.25, 0.0, 0.0]  # the four moves tie
     rng = random.Random(11)
     n = 10_000
     counts = Counter(select_action(q, key, legal, 0.0, rng) for _ in range(n))
@@ -139,10 +137,9 @@ def test_select_action_matches_randrange(seed, legal, row, eps):
 
 
 def test_reads_never_add_rows():
-    """select_action, q_update's next-state max and value read a key
-    without a row as all zeros: the same choices and random draws as an
-    explicit zero row, and the table stays empty. Only set and blend add
-    a row."""
+    """select_action and q_update's next-state max read a key without a
+    row as all zeros: the same choices and random draws as an explicit
+    zero row, and the table stays empty. Only blend adds a row."""
     legal = [Action.UP, Action.DOWN, Action.LEFT]
     for eps in (0.0, 1.0):
         empty, zeros = QTable(), QTable()
@@ -155,13 +152,9 @@ def test_reads_never_add_rows():
         assert len(set(picks_a)) == 3  # ties are broken uniformly
         assert empty.rows == {}
     q = QTable()
-    assert [q.value(b"unseen", a) for a in Action] == [0.0] * 6
-    assert q.rows == {}
     hp = Hyperparams(alpha=0.5, gamma=0.99)
     assert q_update(q, b"s", Action.UP, 4, b"unseen", legal, hp) == hp.alpha * 4
     assert list(q.rows) == [b"s"]  # the next-state read added no row
-    q.set(b"s", Action.UP, 1.0)
-    assert list(q.rows) == [b"s"]
     q.blend(b"t", Action.DOWN, 1.0, 0.5)
     assert list(q.rows) == [b"s", b"t"]
     assert select_action(q, b"s", legal, 0.0, random.Random(0)) is Action.UP
@@ -172,29 +165,28 @@ def test_reads_never_add_rows():
 
 def test_q_update_worked_example():
     q = QTable()
-    q.set(b"s", Action.UP, 2.0)
-    q.set(b"t", Action.DOWN, 4.0)
-    q.set(b"t", Action.UP, 1.0)
+    q.rows[b"s"] = [2.0, 0.0, 0.0, 0.0, 0.0, 0.0]  # UP 2
+    q.rows[b"t"] = [1.0, 4.0, 0.0, 0.0, 0.0, 0.0]  # UP 1, DOWN 4
     hp = Hyperparams(alpha=0.5, gamma=0.99)
     delta = q_update(q, b"s", Action.UP, 10, b"t", [Action.UP, Action.DOWN], hp)
     assert delta == pytest.approx(6.98, abs=1e-12)
-    assert q.value(b"s", Action.UP) == pytest.approx(7.98, abs=1e-12)
+    assert q.rows[b"s"][Action.UP] == pytest.approx(7.98, abs=1e-12)
 
 
 def test_q_update_alpha_zero_changes_nothing():
     q = QTable()
-    q.set(b"s", Action.UP, 2.0)
+    q.rows[b"s"] = [2.0, 0.0, 0.0, 0.0, 0.0, 0.0]  # UP 2
     hp = Hyperparams(alpha=0.0)
     q_update(q, b"s", Action.UP, 100, b"t", [Action.UP], hp)
-    assert q.value(b"s", Action.UP) == 2.0
+    assert q.rows[b"s"][Action.UP] == 2.0
 
 
 def test_q_update_myopic_alpha_one_gamma_zero():
     q = QTable()
-    q.set(b"s", Action.UP, 123.0)
+    q.rows[b"s"] = [123.0, 0.0, 0.0, 0.0, 0.0, 0.0]  # UP 123
     hp = Hyperparams(alpha=1.0, gamma=0.0)
     q_update(q, b"s", Action.UP, 7, b"t", [Action.UP], hp)
-    assert q.value(b"s", Action.UP) == 7.0
+    assert q.rows[b"s"][Action.UP] == 7.0
 
 
 @settings(max_examples=200, deadline=None)
@@ -207,19 +199,18 @@ def test_q_update_myopic_alpha_one_gamma_zero():
 )
 def test_bellman_identity_property(old, r, best, alpha, gamma):
     q = QTable()
-    q.set(b"s", Action.UP, old)
-    q.set(b"n", Action.STAY, best)
+    q.rows[b"s"] = [old, 0.0, 0.0, 0.0, 0.0, 0.0]  # UP old
+    q.rows[b"n"] = [0.0, 0.0, 0.0, 0.0, best, 0.0]  # STAY best
     hp = Hyperparams(alpha=alpha, gamma=gamma)
     q_update(q, b"s", Action.UP, r, b"n", [Action.STAY], hp)
-    assert q.value(b"s", Action.UP) == pytest.approx(
+    assert q.rows[b"s"][Action.UP] == pytest.approx(
         (1 - alpha) * old + alpha * (r + gamma * best), abs=1e-12
     )
 
 
 def test_lazy_rows_default_to_exact_ties():
     q = QTable()
-    assert [q.value(b"unseen", a) for a in Action] == [0.0] * 6
-    q.set(b"k", Action.UP, 1.0)
+    q.blend(b"k", Action.UP, 1.0, 0.5)
     row = q.rows[b"k"]
     assert row == [1.0, 0.0, 0.0, 0.0, 0.0, 0.0]  # unwritten entries tie at 0
     q.blend(b"k", Action.DOWN, 2.0, 0.5)
@@ -263,32 +254,6 @@ def cells(state):
     return [state.position(j) for j in range(state.players)]
 
 
-def test_broadcast_blends_mover_delta_verbatim():
-    s = replace(initial_state(3, 2), move=0)
-    tables = [QTable(), QTable()]
-    observer_key = encode_state(ola_state(s, 1, 0))
-    before = tables[1].value(observer_key, Action.RIGHT)
-    delta = 6.98
-    ola_broadcast(tables, encode_state(s), cells(s), Action.RIGHT, delta, 0, HP)
-    after = tables[1].value(observer_key, Action.RIGHT)
-    assert after == pytest.approx((1 - HP.alpha) * before + delta, abs=1e-12)
-
-
-def test_broadcast_write_counts():
-    s = initial_state(4, 4)
-    tables = [LoggingQTable() for i in range(4)]
-    ola_broadcast(tables, encode_state(s), cells(s), Action.DOWN, 1.0, 2, HP)
-    assert [len(t.write_log) for t in tables] == [1, 1, 0, 1]
-
-
-def test_broadcast_skips_disabled_observers():
-    s = initial_state(4, 4)
-    tables = [LoggingQTable(), None, LoggingQTable(), None]
-    ola_broadcast(tables, encode_state(s), cells(s), Action.DOWN, 1.0, 0, HP)
-    assert len(tables[0].write_log) == 0  # mover untouched by broadcast
-    assert len(tables[2].write_log) == 1
-
-
 @st.composite
 def broadcast_cases(draw):
     """A state with players on distinct cells, random territory and
@@ -317,6 +282,18 @@ def broadcast_cases(draw):
     case=broadcast_cases(),
     action=st.sampled_from(list(Action)),
     delta=st.floats(-50, 50),
+)
+# the mover's delta lands verbatim, not recomputed
+@example(case=(initial_state(3, 2), [True, True]), action=Action.RIGHT, delta=6.98)
+# every seat but the mover gets one write, the last seat included
+@example(
+    case=(replace(initial_state(4, 4), move=2), [True] * 4),
+    action=Action.DOWN, delta=1.0,
+)
+# seats with broadcasting disabled are skipped
+@example(
+    case=(initial_state(4, 4), [True, False, True, False]),
+    action=Action.DOWN, delta=1.0,
 )
 def test_broadcast_lands_in_the_observers_shoes(case, action, delta):
     """Every observer write lands at encode_state(ola_state(state,
@@ -378,7 +355,8 @@ def test_dump_load_roundtrip():
     q = QTable()
     rng = random.Random(99)
     for _ in range(20):
-        q.set(rng.randbytes(5), Action(rng.randrange(6)), rng.uniform(-10, 10))
+        key, action = rng.randbytes(5), Action(rng.randrange(6))
+        q.rows.setdefault(key, [0.0] * 6)[action] = rng.uniform(-10, 10)
     text = dump_qtable(q)
     lines = text.splitlines()
     assert lines == sorted(lines)
@@ -389,6 +367,6 @@ def test_dump_load_roundtrip():
 
 def test_dump_format_17_significant_digits():
     q = QTable()
-    q.set(b"k", Action.UP, 1 / 3)
+    q.rows[b"k"] = [1 / 3, 0.0, 0.0, 0.0, 0.0, 0.0]  # UP 1/3
     line = next(l for l in dump_qtable(q).splitlines() if "\tup\t" in l)
     assert float(line.split("\t")[2]) == 1 / 3

@@ -263,8 +263,6 @@ def test_payoff_matrix_rejects_misclassified_inputs(stub_matchup):
     calls = stub_matchup(coop, defect, [])
     with pytest.raises(PolicyClassificationError) as err:
         run_payoff_trials(cfg, coop, defect)
-    assert (err.value.coop_alpha, err.value.defect_alpha) == (10.0, 30.0)
-    assert err.value.thresholds == cfg.thresholds
     assert str(err.value) == (
         "policy classification failed: cooperative alpha=10.000, "
         "defecting alpha=30.000 (thresholds 5.0/15.0)"

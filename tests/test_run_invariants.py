@@ -1,5 +1,6 @@
-"""Cross-cutting run-level invariants: write patterns, forced-cycle
-behavior."""
+"""Run-level checks: the GameState replay (conftest.replay_against_oracle)
+on fixed and generated runs, each run-level rule an input to it; plus
+the rows a table holds and the turns of a forced-defer cycle."""
 
 import warnings
 
@@ -29,20 +30,6 @@ def hql_cfg(**kw):
     return RunConfig(**defaults)
 
 
-def test_sovereign_write_pattern_by_turn_kind():
-    """Ordinary turns write 4 tables (mover + 3 observers); successful
-    votes write all 4 (everyone updates as a deferrer); failed votes
-    write one per duped defer voter."""
-    result, steps = replay_against_oracle(hql_cfg(), 19)
-    expected = 0
-    for step in steps:
-        if step.mover is not None or step.passed:
-            expected += 4
-        else:
-            expected += step.actions.count(Action.DEFER)
-    assert sum(t.writes for t in result.tables) == expected
-
-
 def test_tables_hold_only_written_rows():
     """Every row of every table was put there by a learning write: the
     hq seats of the sovereign game and the plain Q seats of the base
@@ -67,24 +54,13 @@ def test_forced_cycle_rewards_equal_farm_count():
     for k, step in enumerate(steps):
         if not step.passed:
             continue
-        for move in steps[k + 1 : k + 5]:
-            assert move.mover is not None
+        for seat, move in enumerate(steps[k + 1 : k + 5]):
+            assert move.mover == seat
             assert move.actions == (Action.DEFER,)
             assert not move.invasion
             assert move.rewards[0] >= 0  # TERR only, never the invaded penalty
             checked += 1
     assert checked > 0
-
-
-def test_base_variant_ci_sampling_counts_flags_each_cycle():
-    """The invasions metric equals the flag counts observed at each
-    cycle boundary, recounted independently by the replay."""
-    cfg = RunConfig(
-        size=4, players=2, total_steps=1_000, bin_size=1_000, trials=1,
-        agent_kinds=(AgentKind.RANDOM,) * 2, seed=8, variant=Variant.BASE,
-    )
-    result, _ = replay_against_oracle(cfg, 8)
-    assert result.bins[0].invasions > 0
 
 
 def test_loop_matches_gamestate_oracle():
@@ -96,14 +72,17 @@ def test_loop_matches_gamestate_oracle():
         (Variant.BASE, 5, (H, Q)),
         (Variant.BASE, 3, (H, H, R)),
         (Variant.BASE, 5, (H, H, R)),
+        (Variant.BASE, 4, (H, H, H, H)),
+        (Variant.BASE, 4, (R, R)),
     ]
     for variant, size, kinds in runs:
         cfg = hql_cfg(
             size=size, players=len(kinds), agent_kinds=kinds,
-            total_steps=2_000, bin_size=2_000, variant=variant,
+            total_steps=2_000, bin_size=500, variant=variant,
         )
         result, _ = replay_against_oracle(cfg, 31)
         assert sum(result.invasions_per_player) > 0, (variant, size, kinds)
+        assert sum(b.invasions for b in result.bins) > 0, (variant, size, kinds)
         if variant is Variant.SOVEREIGN:
             passed = sum(b.successful_defers for b in result.bins)
             assert 0 < passed < 2_000 // (len(kinds) + 1)  # some votes fail

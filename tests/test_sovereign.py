@@ -39,14 +39,6 @@ def test_legal_actions_forced_phase():
     assert sovereign_legal_actions(s, 0, 3) == [D]
 
 
-def test_legal_actions_suppressed_phase_is_base():
-    s = initial_state(4, 4)
-    assert sovereign_legal_actions(s, 0, 0) == [
-        Action.DOWN,
-        Action.RIGHT,
-    ]
-
-
 def test_legal_actions_vote_move_adds_defer():
     s = at_vote()
     for player in range(4):
@@ -56,7 +48,9 @@ def test_legal_actions_vote_move_adds_defer():
 
 def test_legal_actions_open_ordinary_is_base():
     s = initial_state(4, 4)
-    assert sovereign_legal_actions(s, 0, 0) == legal_actions(s, 0)
+    base = legal_actions(s, 0)
+    assert base == [Action.DOWN, Action.RIGHT]
+    assert sovereign_legal_actions(s, 0, 0) == base
 
 
 def test_vote_success_sets_flag_and_forces_defer():
