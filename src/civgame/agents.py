@@ -78,7 +78,7 @@ class QTable:
 
 
 def select_action(
-    q: QTable,
+    q: QTable | None,
     key: bytes,
     legal: Sequence[Action],
     eps: float,
@@ -89,14 +89,16 @@ def select_action(
     `key` is an encode_state key. Only reads the table: a key without a
     row reads as all zeros, so every legal action ties. Each call draws
     rng.random() once, then one index to explore or to break a tie among
-    two or more actions. The index is drawn inline by the rejection loop
-    of CPython's rng.randrange(n), so it equals randrange(n) and uses the
-    same draws; tests/test_agents.py::test_select_action_matches_randrange
-    pins this.
+    two or more actions. A seat without a table (`q` None, the random
+    baseline) has no values: it skips the explore draw and `eps`, and
+    draws one uniform index over the legal set. The index is drawn
+    inline by the rejection loop of CPython's rng.randrange(n), so it
+    equals randrange(n) and uses the same draws;
+    tests/test_agents.py::test_select_action_matches_randrange pins this.
     """
     if not legal:
         raise ValueError("legal action set is empty")
-    if rng.random() < eps:
+    if q is None or rng.random() < eps:
         choices = legal
     else:
         row = q.rows.get(key)

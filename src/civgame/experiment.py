@@ -114,21 +114,6 @@ class MetricsBin:
 
 
 @dataclass
-class AgentSetup:
-    """Per-seat runner wiring; `table=None` with a learning kind means fresh.
-
-    Every kind but random learns; hq learners also broadcast their updates
-    and learn from vote payouts. A seat with `learn=False` plays frozen:
-    it makes no updates, so its table is left as it was.
-    """
-
-    kind: AgentKind
-    table: QTable | None = None
-    learn: bool = True
-    fixed_eps: float | None = None
-
-
-@dataclass
 class RunResult:
     """One run_game trial: its bins, per-seat totals, and the Q-tables
     when run_game is asked to keep them. The tests play each run again
@@ -162,16 +147,18 @@ def agent_rng(trial_seed: int, player: int) -> random.Random:
 def run_game(
     cfg: RunConfig,
     trial_seed: int,
-    setups: Sequence[AgentSetup] | None = None,
+    tables: Sequence[QTable | None] | None = None,
+    frozen_eps: Sequence[float | None] | None = None,
     keep_tables: bool = False,
 ) -> RunResult:
     """Play total_steps turns and fold metrics into bins.
 
-    Each step: the mover (or every voter) picks an action epsilon-greedily
-    from its own table, the environment transitions, and Q-updates plus
-    broadcasts are applied according to each seat's agent kind. Random
-    seats draw uniformly from the legal set; learners call select_action
-    with the step's epsilon_at, or with their fixed_eps.
+    Seat i plays as cfg.agent_kinds[i]. A random seat has no table. A
+    learner starts from tables[i] (a fresh QTable when None); when
+    frozen_eps[i] is set it plays frozen at that eps and makes no
+    updates, else it learns at the step's epsilon_at, and an hq learner
+    also broadcasts, receives the other hq learners' broadcasts and
+    learns from vote payouts. Every seat decides through select_action.
 
     The loop's state is the encode_state key itself, a bytearray edited
     in place, plus each seat's cell and territory count and the number
@@ -183,25 +170,20 @@ def run_game(
     """
     p, hp, rc = cfg.players, cfg.hp, cfg.rewards
     sovereign = cfg.variant is Variant.SOVEREIGN
-    if setups is None:
-        setups = [AgentSetup(k) for k in cfg.agent_kinds]
+    kinds = cfg.agent_kinds
+    given = [None] * p if tables is None else tables
+    frozen = [None] * p if frozen_eps is None else frozen_eps
 
     rngs = [agent_rng(trial_seed, i) for i in range(p)]
-    tables: list[QTable | None] = []
-    for setup in setups:
-        if setup.table is not None:
-            table = setup.table
-        elif setup.kind is not AgentKind.RANDOM:
-            table = QTable()
-        else:
-            table = None
-        tables.append(table)
-
-    randoms = [s.kind is AgentKind.RANDOM for s in setups]
-    fixed_eps = [s.fixed_eps for s in setups]
-    learns = [s.learn and s.kind is not AgentKind.RANDOM for s in setups]
+    # built through the module name QTable: perfbench counts them there
+    tables = [
+        None if kind is AgentKind.RANDOM else QTable() if t is None else t
+        for kind, t in zip(kinds, given)
+    ]
+    learns = [t is not None and e is None for t, e in zip(tables, frozen)]
     # learning hq seats broadcast, receive broadcasts and learn from votes
-    hq = [s.learn and s.kind is AgentKind.HQLEARNER for s in setups]
+    hq = [learn and kind is AgentKind.HQLEARNER
+          for learn, kind in zip(learns, kinds)]
     recv_tables = [table if h else None for table, h in zip(tables, hq)]
 
     key = encode_state(initial_state(cfg.size, p))
@@ -247,18 +229,13 @@ def run_game(
             if move == sample_at:
                 b.invasions += sum(k[invaded_at:move_at])
             if move == p:  # the sovereign vote
-                ballots = []
-                for i in range(p):
-                    options = ballot_options[i]
-                    rng = rngs[i]
-                    if randoms[i]:
-                        ballots.append(options[rng.randrange(len(options))])
-                    else:
-                        seat_eps = fixed_eps[i]
-                        ballots.append(select_action(
-                            tables[i], key, options,
-                            eps if seat_eps is None else seat_eps, rng,
-                        ))
+                ballots = [
+                    select_action(
+                        tables[i], key, ballot_options[i],
+                        eps if frozen[i] is None else frozen[i], rngs[i],
+                    )
+                    for i in range(p)
+                ]
                 success = vote_succeeds(ballots, p)
                 # the sovereign flag is zeroed within the vote step, so
                 # only the move byte changes
@@ -284,15 +261,9 @@ def run_game(
                 continue
 
             i = move
-            rng = rngs[i]
-            if randoms[i]:
-                action = legal[rng.randrange(len(legal))]
-            else:
-                seat_eps = fixed_eps[i]
-                action = select_action(
-                    tables[i], key, legal,
-                    eps if seat_eps is None else seat_eps, rng,
-                )
+            action = select_action(
+                tables[i], key, legal, eps if frozen[i] is None else frozen[i], rngs[i]
+            )
             # reward terms from the pre-move bytes: farming, then (unless
             # a forced defer) the invaded penalty and the invasion bonus
             r = terr[i]

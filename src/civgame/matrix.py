@@ -17,7 +17,6 @@ from typing import Sequence
 
 from .agents import AgentKind, Hyperparams, QTable, epsilon_at
 from .experiment import (
-    AgentSetup,
     RunConfig,
     Variant,
     map_jobs,
@@ -70,10 +69,14 @@ class Thresholds:
             raise ValueError("alpha_c must be below alpha_d")
 
 
+# The fewest moves an invasion rate is measured over.
+MIN_MOVES = 100
+
+
 def alpha_from_counts(invasions: int, moves: int) -> float:
     """Invasions committed per hundred moves taken (ballots count as moves)."""
-    if moves < 100:
-        raise InsufficientDataError(f"need >= 100 moves, got {moves}")
+    if moves < MIN_MOVES:
+        raise InsufficientDataError(f"need >= {MIN_MOVES} moves, got {moves}")
     return 100.0 * invasions / moves
 
 
@@ -158,11 +161,17 @@ class AnalysisConfig:
             raise ValueError("matchups need at least 2 players")
         for name in (
             "train_steps", "defect_train_steps", "match_steps",
-            "match_trials", "eval_steps", "workers",
+            "match_trials", "workers",
         ):
             value = getattr(self, name)
             if value < 1:
                 raise ValueError(f"{name} must be >= 1, got {value}")
+        # the defecting policy is evaluated in the base game, where its
+        # moves equal eval_steps, so fewer would fail after the training
+        if self.eval_steps < MIN_MOVES:
+            raise ValueError(
+                f"eval_steps must be >= {MIN_MOVES}, got {self.eval_steps}"
+            )
 
 
 def _match_config(
@@ -198,11 +207,7 @@ def play_matchup(
     The tables are only read, so they come back unchanged.
     """
     run_cfg = _match_config(cfg, steps, variant or cfg.match_variant)
-    setups = [
-        AgentSetup(AgentKind.QLEARNER, table=table, learn=False, fixed_eps=eps)
-        for table, eps in zip(tables, eps_by_seat)
-    ]
-    result = run_game(run_cfg, seed, setups=setups)
+    result = run_game(run_cfg, seed, tables=tables, frozen_eps=eps_by_seat)
     payoffs = [total / steps for total in result.rewards_per_player]
     return payoffs, result.invasions_per_player, result.moves_per_player
 

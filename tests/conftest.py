@@ -1,20 +1,15 @@
 """Fixtures and helpers shared by the test modules."""
 
+import importlib.util
 from collections import deque
-from dataclasses import replace
 from functools import cache
+from pathlib import Path
 from typing import NamedTuple
 
 import pytest
 
 from civgame.agents import AgentKind, QTable, epsilon_at, ola_state
-from civgame.experiment import (
-    AgentSetup,
-    MetricsBin,
-    Variant,
-    agent_rng,
-    run_game,
-)
+from civgame.experiment import MetricsBin, Variant, agent_rng, run_game
 from civgame.game import (
     Action,
     encode_state,
@@ -30,6 +25,18 @@ from civgame.sovereign import (
     sovereign_reward,
     sovereign_transition,
 )
+
+
+SITES_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "sites.py"
+
+
+def perfbench_sites() -> set[str]:
+    """Every `module.name` that perfbench's tracer looks up, read from
+    perfbench/sites.py, which is loaded by path."""
+    spec = importlib.util.spec_from_file_location("perfbench_sites", SITES_PATH)
+    sites = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sites)
+    return {*sites.LAYER_SITES, *sites.TABLE_SITES, *sites.KEY_SITES}
 
 
 @cache
@@ -66,6 +73,23 @@ class LoggingQTable(QTable):
         self.write_log.append((key, action, old, self.rows[key][action], delta))
 
 
+def randrange_select(rows, key, legal, eps, rng):
+    """select_action as written with rng.randrange: the selection oracle.
+
+    `rows` maps keys to value rows, or is None for a seat without a
+    table, which draws legal[rng.randrange(len(legal))] and nothing else.
+    """
+    if rows is None or rng.random() < eps:
+        return legal[rng.randrange(len(legal))]
+    row = rows.get(key)
+    if row is None:
+        ties = legal
+    else:
+        values = [row[a] for a in legal]
+        ties = [a for a, v in zip(legal, values) if v == max(values)]
+    return ties[0] if len(ties) == 1 else ties[rng.randrange(len(ties))]
+
+
 class Step(NamedTuple):
     """One step as the GameState rules play it: an ordinary turn of
     `mover`, or (mover None) a vote with every seat's ballot and payout."""
@@ -77,50 +101,55 @@ class Step(NamedTuple):
     passed: bool = False  # a vote that installed the sovereign
 
 
-def replay_against_oracle(cfg, seed, setups=None):
+def replay_against_oracle(cfg, seed, tables=None, frozen_eps=None):
     """Play run_game's run again through the public GameState functions.
 
-    Every seat's choices are made here from its own stream, over the
-    legal set the rules give, in order: a random seat draws uniformly; a
-    learner explores with probability epsilon_at(step) (or its fixed
-    eps), else takes the best action of its shadow row, breaking ties
-    uniformly. Shadow copies of the tables, rebuilt from the write logs,
-    supply the values read.
+    Seat i is of kind cfg.agent_kinds[i]; a learner starts from
+    tables[i] (fresh when None) and plays frozen when frozen_eps[i] is
+    set. Every seat's choices are made here by randrange_select from its
+    own stream, over the legal set the rules give, in order: a random
+    seat draws uniformly; a learner explores with probability
+    epsilon_at(step) (or its frozen eps), else takes the best action of
+    its shadow row, breaking ties uniformly. Shadow copies of the
+    tables, rebuilt from the write logs, supply the values read.
 
     Every table write must be the one the rules call for: the mover's
     Bellman update at the step's key, with the max taken over the legal
     set the rules give at the next state; one broadcast write per
     receiving observer at the "in their shoes" key with the mover's
-    delta; and the vote updates. Frozen seats (`learn=False`) write
-    nothing. The bins and per-seat totals folded here from reward,
-    is_invasion, sovereign_reward and the invaded flags at each cycle
-    boundary must equal run_game's.
+    delta; and the vote updates. Frozen seats write nothing. The bins
+    and per-seat totals folded here from reward, is_invasion,
+    sovereign_reward and the invaded flags at each cycle boundary must
+    equal run_game's.
 
     Returns run_game's result, its tables kept, and the steps played.
     """
-    if setups is None:
-        setups = [AgentSetup(k) for k in cfg.agent_kinds]
+    p, rc, hp, kinds = cfg.players, cfg.rewards, cfg.hp, cfg.agent_kinds
+    given = [None] * p if tables is None else tables
+    frozen = [None] * p if frozen_eps is None else frozen_eps
 
     def logged(table):
-        """A fresh logging table, or a frozen seat's rows under a log."""
+        """A fresh logging table, or the given table's rows under a log."""
         logging_table = LoggingQTable()
         if table is not None:
             logging_table.rows = table.rows
         return logging_table
 
-    setups = [
-        s if s.table is None and s.kind is AgentKind.RANDOM
-        else replace(s, table=logged(s.table))
-        for s in setups
+    tables = [
+        None if kind is AgentKind.RANDOM else logged(t)
+        for kind, t in zip(kinds, given)
     ]
-    tables = [s.table for s in setups]
-    shadow = [{} if t is None else {k: list(r) for k, r in t.rows.items()}
+    shadow = [None if t is None else {k: list(r) for k, r in t.rows.items()}
               for t in tables]
-    result = run_game(cfg, seed, setups=setups, keep_tables=True)
-    p, rc, hp = cfg.players, cfg.rewards, cfg.hp
+    result = run_game(
+        cfg, seed, tables=tables, frozen_eps=frozen, keep_tables=True
+    )
     sovereign = cfg.variant is Variant.SOVEREIGN
-    learns = [s.learn and s.kind is not AgentKind.RANDOM for s in setups]
-    hq = [s.learn and s.kind is AgentKind.HQLEARNER for s in setups]
+    learns = [
+        kind is not AgentKind.RANDOM and eps is None
+        for kind, eps in zip(kinds, frozen)
+    ]
+    hq = [learn and kind is AgentKind.HQLEARNER for learn, kind in zip(learns, kinds)]
     cursor = [0] * p
     rngs = [agent_rng(seed, i) for i in range(p)]
 
@@ -128,18 +157,8 @@ def replay_against_oracle(cfg, seed, setups=None):
         return shadow[i].get(key, (0.0,) * len(Action))[action]
 
     def choose(i, legal, key, step):
-        rng = rngs[i]
-        if setups[i].kind is not AgentKind.RANDOM:
-            eps = setups[i].fixed_eps
-            if eps is None:
-                eps = epsilon_at(step, hp)
-            if rng.random() >= eps:
-                values = [value(i, key, a) for a in legal]
-                ties = [a for a, v in zip(legal, values) if v == max(values)]
-                if len(ties) == 1:
-                    return ties[0]
-                return ties[rng.randrange(len(ties))]
-        return legal[rng.randrange(len(legal))]
+        eps = epsilon_at(step, hp) if frozen[i] is None else frozen[i]
+        return randrange_select(shadow[i], key, legal, eps, rngs[i])
 
     def check_write(i, key, action, delta):
         """Consume seat i's next write, which must be this one."""

@@ -23,7 +23,6 @@ from civgame.agents import (
 from civgame.charts import render_csv
 from civgame.cli import main
 from civgame.experiment import (
-    AgentSetup,
     RunConfig,
     Variant,
     run_game,
@@ -166,8 +165,7 @@ def test_criterion_5_ola_write_pattern():
             variant=Variant.BASE,  # every turn is an ordinary OLA turn
         )
         tables = [LoggingQTable() for _ in range(4)]
-        setups = [AgentSetup(kind=AgentKind.HQLEARNER, table=t) for t in tables]
-        run_game(cfg, 77, setups=setups)
+        run_game(cfg, 77, tables=tables)
 
         # every turn lands exactly one write in every table: its own update
         # for the mover, one broadcast blend for each of the 3 observers

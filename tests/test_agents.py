@@ -22,9 +22,9 @@ from civgame.agents import (
     q_update,
     select_action,
 )
-from civgame.experiment import AgentSetup, RunConfig, Variant, run_game
+from civgame.experiment import RunConfig, Variant, run_game
 from civgame.game import Action, GameState, encode_state, initial_state, occupied_cell
-from conftest import LoggingQTable, replay_against_oracle
+from conftest import LoggingQTable, randrange_select, replay_against_oracle
 
 HP = Hyperparams()
 
@@ -99,41 +99,31 @@ def test_select_rejects_empty_legal():
         select_action(QTable(), b"s", [], 0.5, random.Random(0))
 
 
-def randrange_select_action(q, key, legal, eps, rng):
-    """select_action as it was written with rng.randrange: the oracle."""
-    if rng.random() < eps:
-        return legal[rng.randrange(len(legal))]
-    row = q.rows.get(key)
-    if row is None:
-        ties = legal
-    else:
-        values = [row[a] for a in legal]
-        best = max(values)
-        ties = [a for a, v in zip(legal, values) if v == best]
-    return ties[0] if len(ties) == 1 else ties[rng.randrange(len(ties))]
-
-
 @settings(max_examples=300, deadline=None)
 @given(
     seed=st.integers(0, 2**32),
     legal=st.lists(st.sampled_from(list(Action)), min_size=1, max_size=6, unique=True),
+    has_table=st.booleans(),
     # few distinct values, so that rows often hold ties
     row=st.none() | st.lists(st.sampled_from((0.0, 1.0, 2.0)), min_size=6, max_size=6),
     eps=st.sampled_from((0.0, 0.3, 1.0)),
 )
-def test_select_action_matches_randrange(seed, legal, row, eps):
+def test_select_action_matches_randrange(seed, legal, has_table, row, eps):
     """The inline draw picks what randrange(n) picks, with the same
     draws: over a run of calls the actions agree and both streams stay
-    in the same state. A row of None means the key has no row."""
-    q = QTable()
-    if row is not None:
+    in the same state. A row of None means the key has no row; a seat
+    without a table draws as legal[rng.randrange(len(legal))]."""
+    q = QTable() if has_table else None
+    if has_table and row is not None:
         q.rows[b"s"] = row
+    rows = q.rows if has_table else None
     rng, oracle_rng = random.Random(seed), random.Random(seed)
     for _ in range(20):
         action = select_action(q, b"s", legal, eps, rng)
-        assert action == randrange_select_action(q, b"s", legal, eps, oracle_rng)
+        assert action == randrange_select(rows, b"s", legal, eps, oracle_rng)
         assert rng.getstate() == oracle_rng.getstate()
-    assert q.rows == ({} if row is None else {b"s": row})
+    if has_table:
+        assert q.rows == ({} if row is None else {b"s": row})
 
 
 def test_reads_never_add_rows():
@@ -321,7 +311,7 @@ def test_agent_mode_flags():
         agent_kinds=(AgentKind.QLEARNER,) * 2, variant=Variant.SOVEREIGN,
     )
     for kind in (AgentKind.HQLEARNER, AgentKind.QLEARNER):
-        res, steps = replay_against_oracle(cfg, 5, [AgentSetup(kind)] * 2)
+        res, steps = replay_against_oracle(replace(cfg, agent_kinds=(kind,) * 2), 5)
         turns = [0, 0]
         vote_updates = [0, 0]  # on success everyone, else defer voters
         for step in steps:

@@ -241,15 +241,19 @@ def test_analyze_zero_match_trials_exits_2_before_training(
         raise AssertionError("trained despite an invalid config")
 
     monkeypatch.setattr("civgame.cli.train_policy", no_training)
-    for key in (
-        "match_trials", "train_steps", "defect_train_steps",
-        "eval_steps", "match_steps",
+    # the defecting policy's evaluation needs 100 moves, one per eval step
+    for key, values, least in (
+        ("match_trials", (0, -3), 1),
+        ("train_steps", (0, -3), 1),
+        ("defect_train_steps", (0, -3), 1),
+        ("eval_steps", (0, -3, 50), 100),
+        ("match_steps", (0, -3), 1),
     ):
-        for value in (0, -3):
+        for value in values:
             cfg = write(tmp_path, "an.cfg", f"{key}={value}\n")
             code = run_cli(["analyze", "--config", cfg, "--out", str(tmp_path)])
             assert code == 2, (key, value)
-            assert f"{key} must be >= 1" in capsys.readouterr().err
+            assert f"{key} must be >= {least}" in capsys.readouterr().err
     assert not (tmp_path / "matrix.csv").exists()
 
 

@@ -1,31 +1,45 @@
 """Import hygiene: no module in src/civgame or tests imports a name that
 it never reads.
 
-A statement marked `# noqa: F401` is skipped (perfbench's tracer looks
-those names up as layer sites), and so is a name listed in `__all__`.
+A name that perfbench's tracer looks up in the module as a site
+(perfbench/sites.py) is exempt, and so is a name listed in `__all__`.
+Such an import is marked `# noqa: F401`; the mark alone exempts nothing.
 """
 
 import ast
 from pathlib import Path
 
+from conftest import perfbench_sites
+
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted([*(ROOT / "src" / "civgame").glob("*.py"),
                   *(ROOT / "tests").glob("*.py")])
+SITES = perfbench_sites()
 
 
-def unused_imports(source: str) -> list[tuple[int, str]]:
-    """(line, name) for each name bound by an import and never read."""
+def traced_names(path: Path) -> set[str]:
+    """The names perfbench's tracer looks up in the module at `path`
+    (civgame.agents for src/civgame/agents.py; none in a test module)."""
+    module = f"{path.parent.name}.{path.stem}"
+    return {
+        site.rpartition(".")[2]
+        for site in SITES
+        if site.rpartition(".")[0] == module
+    }
+
+
+def unused_imports(
+    source: str, traced: set[str] = frozenset()
+) -> list[tuple[int, str]]:
+    """(line, name) for each name bound by an import and never read,
+    unless `traced` holds it."""
     tree = ast.parse(source)
-    lines = source.splitlines()
     imported = []
     for node in ast.walk(tree):
         if not isinstance(node, (ast.Import, ast.ImportFrom)):
             continue
         if getattr(node, "module", None) == "__future__":
             continue  # a compiler switch, not a name to read
-        if any("# noqa: F401" in line
-               for line in lines[node.lineno - 1:node.end_lineno]):
-            continue
         for alias in node.names:
             # `import a.b` binds `a`
             name = alias.asname or alias.name.split(".")[0]
@@ -37,14 +51,17 @@ def unused_imports(source: str) -> list[tuple[int, str]]:
                 and any(isinstance(t, ast.Name) and t.id == "__all__"
                         for t in node.targets)):
             read |= set(ast.literal_eval(node.value))
-    return [(line, name) for line, name in imported if name not in read]
+    return [(line, name) for line, name in imported
+            if name not in read and name not in traced]
 
 
 def test_every_imported_name_is_read():
     unused = [
         f"{path.relative_to(ROOT)}:{line}: {name}"
         for path in MODULES
-        for line, name in unused_imports(path.read_text(encoding="utf-8"))
+        for line, name in unused_imports(
+            path.read_text(encoding="utf-8"), traced_names(path)
+        )
     ]
     assert not unused, "imported but never read:\n" + "\n".join(unused)
 
@@ -54,8 +71,11 @@ def test_finds_an_unused_import():
         "import os\n"
         "from sys import argv, path  # path is read below\n"
         "from json import dumps  # noqa: F401\n"
+        "from json import loads  # noqa: F401\n"
         "from re import compile as rx\n"
         "__all__ = ['rx']\n"
         "print(path)\n"
     )
-    assert unused_imports(source) == [(1, "os"), (2, "argv")]
+    assert unused_imports(source, traced={"dumps"}) == [
+        (1, "os"), (2, "argv"), (4, "loads"),
+    ]

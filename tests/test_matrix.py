@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from civgame.agents import AgentKind, QTable
-from civgame.experiment import AgentSetup, RunConfig, Variant, run_game
+from civgame.experiment import RunConfig, Variant, run_game
 from civgame.matrix import (
     AnalysisConfig,
     DilemmaClass,
@@ -62,21 +62,12 @@ def test_social_metric_requires_100_moves():
         alpha_from_counts(0, 99)
 
 
-def test_alpha_from_counts_matches_social_metric():
-    """alpha from the run's counters is invasions per 100 of the replay's moves."""
-    res, steps = replay_against_oracle(sovereign_cfg(600, 6), 6)
-    moves, invasions = own_moves(steps, 1)
-    assert invasions > 0
-    assert alpha_from_counts(
-        res.invasions_per_player[1], res.moves_per_player[1]
-    ) == 100.0 * invasions / moves
-
-
 def test_social_metric_agrees_with_run_counters():
     """Each seat's alpha from the run's counters equals its replay recount."""
     res, steps = replay_against_oracle(sovereign_cfg(600, 6), 6)
     for player in range(2):
         moves, invasions = own_moves(steps, player)
+        assert invasions > 0
         assert res.invasions_per_player[player] == invasions
         assert res.moves_per_player[player] == moves
         assert alpha_from_counts(
@@ -178,11 +169,7 @@ def test_long_term_payoff_counts_votes_and_moves():
         size=4, players=2, total_steps=300, bin_size=300, trials=1,
         agent_kinds=(AgentKind.QLEARNER,) * 2, variant=Variant.SOVEREIGN,
     )
-    setups = [
-        AgentSetup(AgentKind.QLEARNER, table=t, learn=False, fixed_eps=1.0)
-        for t in tables
-    ]
-    res, _ = replay_against_oracle(run_cfg, 4, setups)
+    res, _ = replay_against_oracle(run_cfg, 4, tables, [1.0, 1.0])
     assert payoffs == [r / 300 for r in res.rewards_per_player]
 
 

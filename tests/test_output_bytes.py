@@ -10,7 +10,6 @@ import hashlib
 from civgame.agents import AgentKind, dump_qtable
 from civgame.cli import main
 from civgame.experiment import (
-    AgentSetup,
     RunConfig,
     Variant,
     run_game,
@@ -42,13 +41,13 @@ BASE_Q = {
     ),
 }
 SOVEREIGN_MIX = {
-    "learning_curve.csv": "b5b1eb0b676cb32a1143d2ad336b58cac5622e201bbc07d637b0e5530e358d73",
-    "actions.csv": "0a2d6899e084c070ba053bf6584d84744ebf1359b8389540b21d4f65b7873e95",
+    "learning_curve.csv": "f285c55462f547a464b34dd0cd1a5ec6d5f3e55424d3ff1c04a91e814d0e3740",
+    "actions.csv": "9b92b41cb3f0f5c8f9bd5972954ca8c76dd73c9808dda39f2e90e0ad7580f047",
     "tables": (
-        "54c9e13508b070bfbea18fc150a5562f1e60d4cdcd62b7c8136d86934e6522c6",
+        "512db2f6a057c0e954c49a2d1ec6244ef8e9b5f593792ac60f7314a26663b056",
         None,
         "a8cb860c820cbbad8a1d8ea5bd6b76b3305234eaaa774d21e5a833655dac92d5",
-        "820467e6c61b720167a6b0f81dfad64f550bb40c6e4fb374382c002013eb46da",
+        "7db4c291675d92f2287d09d099364366ecb2b8d3c16cf969ae481451f46a812b",
     ),
 }
 ANALYZE_MATRIX = "228fe42d87a3bdffec96a77bf95032a5dae23abb47e8d2806aaadca361d5dd62"
@@ -107,8 +106,8 @@ def test_base_q_bytes(tmp_path):
 
 
 def test_sovereign_mix_bytes(tmp_path):
-    """An hq learner, a random seat, a frozen Q seat with a trained table,
-    and an hq learner exploring at a fixed eps."""
+    """An hq learner, a random seat, a Q seat frozen at eps 0.2 with a
+    trained table, and an hq learner."""
     cfg = RunConfig(
         total_steps=3000, bin_size=750, trials=1, seed=8,
         agent_kinds=(H, R, Q, H),
@@ -118,13 +117,10 @@ def test_sovereign_mix_bytes(tmp_path):
                   agent_kinds=(Q,) * 4),
         9, keep_tables=True,
     ).tables[2]
-    setups = [
-        AgentSetup(H),
-        AgentSetup(R),
-        AgentSetup(Q, table=trained, learn=False),
-        AgentSetup(H, fixed_eps=0.2),
-    ]
-    res = run_game(cfg, 8, setups=setups, keep_tables=True)
+    res = run_game(
+        cfg, 8, tables=[None, None, trained, None],
+        frozen_eps=[None, None, 0.2, None], keep_tables=True,
+    )
     write_learning_curve([res.bins], str(tmp_path / "learning_curve.csv"))
     write_actions([res.bins], str(tmp_path / "actions.csv"))
     digests = {

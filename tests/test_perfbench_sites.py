@@ -10,7 +10,6 @@ perfbench's sample process also calls civgame directly (`run_game` with
 """
 
 import importlib
-import importlib.util
 import json
 import os
 import re
@@ -19,22 +18,15 @@ import sys
 import time
 from pathlib import Path
 
+from conftest import perfbench_sites
+
 ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
-SITES_PATH = PERFBENCH / "sites.py"
-
-
-def load_sites():
-    spec = importlib.util.spec_from_file_location("perfbench_sites", SITES_PATH)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def test_every_perfbench_site_resolves():
-    sites = load_sites()
     missing = []
-    for site in {*sites.LAYER_SITES, *sites.TABLE_SITES, *sites.KEY_SITES}:
+    for site in perfbench_sites():
         module_name, _, attr = site.rpartition(".")
         if not callable(getattr(importlib.import_module(module_name), attr, None)):
             missing.append(site)

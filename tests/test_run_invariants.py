@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from civgame.agents import AgentKind, Hyperparams
-from civgame.experiment import AgentSetup, RunConfig, Variant, run_game
+from civgame.experiment import RunConfig, Variant, run_game
 from civgame.game import Action, RewardConfig
 from conftest import LoggingQTable, replay_against_oracle
 
@@ -39,8 +39,7 @@ def test_tables_hold_only_written_rows():
     )
     for cfg in (hql_cfg(), base):
         tables = [LoggingQTable() for _ in range(cfg.players)]
-        setups = [AgentSetup(kind, table=t) for kind, t in zip(cfg.agent_kinds, tables)]
-        run_game(cfg, 19, setups=setups)
+        run_game(cfg, 19, tables=tables)
         for t in tables:
             assert t.write_log
             assert set(t.rows) == {key for key, *_ in t.write_log}
@@ -91,7 +90,7 @@ def test_loop_matches_gamestate_oracle():
 @st.composite
 def oracle_runs(draw):
     """A short run of any size, variant, seat mix and reward signs, with
-    frozen seats holding a trained table and seats at a fixed eps."""
+    frozen seats at a fixed eps holding a trained table."""
     size = draw(st.integers(2, 6))
     p = draw(st.integers(1, 4))
     total = draw(st.integers(1, 300))
@@ -113,21 +112,17 @@ def oracle_runs(draw):
                        eps_decay=draw(st.sampled_from((1.0, 0.999, 0.99)))),
         variant=draw(st.sampled_from(list(Variant))),
     )
-    seats = [
-        (draw(st.booleans()), draw(st.sampled_from((None, None, 0.0, 0.3, 1.0))))
-        for _ in range(p)
-    ]
+    # per seat: None (learning) or the eps it plays frozen at
+    frozen_eps = draw(st.lists(
+        st.none() | st.sampled_from((0.0, 0.3, 1.0)), min_size=p, max_size=p
+    ))
     trained = run_game(cfg, draw(st.integers(0, 99)), keep_tables=True).tables
-    setups = [
-        AgentSetup(kind, table=None if learn else trained[i], learn=learn,
-                   fixed_eps=eps)
-        for i, (kind, (learn, eps)) in enumerate(zip(kinds, seats))
-    ]
-    return cfg, setups
+    tables = [None if eps is None else t for t, eps in zip(trained, frozen_eps)]
+    return cfg, tables, frozen_eps
 
 
 @settings(max_examples=150, deadline=None)
 @given(run=oracle_runs(), seed=st.integers(0, 2**32))
 def test_generated_runs_match_gamestate_oracle(run, seed):
-    cfg, setups = run
-    replay_against_oracle(cfg, seed, setups)
+    cfg, tables, frozen_eps = run
+    replay_against_oracle(cfg, seed, tables, frozen_eps)
