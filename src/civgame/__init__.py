@@ -30,7 +30,6 @@ from .agents import (
     QTable,
     dump_qtable,
     epsilon_at,
-    load_qtable,
     ola_broadcast,
     ola_state,
     q_update,
@@ -79,7 +78,6 @@ __all__ = [
     "sovereign_transition",
     "initial_state",
     "legal_actions",
-    "load_qtable",
     "move_dest",
     "ola_broadcast",
     "ola_state",

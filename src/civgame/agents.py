@@ -4,8 +4,9 @@ Each learner keeps its own Q-table keyed by encoded states; a row exists
 only once a learning write has put a value in it. A learner with
 broadcasting enabled shares the scalar increment of every update it
 makes; the other players blend that increment into their own tables at
-the position-swapped "in their shoes" state, so a lesson learned by one
-player is felt by all of them.
+the position-swapped "in their shoes" state. As measured, no seat ever
+selects at a key that a broadcast wrote (tools/broadcast_reads.py), so
+an hq seat differs from a q seat in play only by learning vote payouts.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import IO, Iterable, Sequence
+from typing import Sequence
 
 from .game import BOARD_OFFSET, Action, GameState, key_offsets, occupied_cell
 
@@ -215,17 +216,3 @@ def dump_qtable(q: QTable) -> str:
     lines.sort()
     return "\n".join(lines) + ("\n" if lines else "")
 
-
-def load_qtable(lines: Iterable[str] | IO[str]) -> QTable:
-    """Parse dump_qtable output."""
-    by_name = {a.name.lower(): a for a in Action}
-    q = QTable()
-    for line in lines:
-        line = line.rstrip("\n")
-        if not line:
-            continue
-        hexkey, name, value = line.split("\t")
-        key = bytes.fromhex(hexkey)
-        row = q.rows.setdefault(key, [0.0] * NUM_ACTIONS)
-        row[by_name[name]] = float(value)
-    return q

@@ -55,9 +55,9 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_simulate(args: argparse.Namespace) -> None:
     resolved = load_config(args.config, args.seed)
     cfg = resolved.run_config()
-    trials = run_trials(cfg)
     out = args.out
-    os.makedirs(out, exist_ok=True)
+    os.makedirs(out, exist_ok=True)  # a bad --out fails before any work
+    trials = run_trials(cfg)
     write_learning_curve(trials, os.path.join(out, "learning_curve.csv"))
     write_actions(trials, os.path.join(out, "actions.csv"))
     with open(os.path.join(out, "run_manifest.txt"), "w", encoding="utf-8") as f:
@@ -68,11 +68,11 @@ def cmd_simulate(args: argparse.Namespace) -> None:
 def cmd_analyze(args: argparse.Namespace) -> None:
     resolved = load_config(args.config, args.seed)
     cfg = resolved.analysis_config()
+    out = args.out
+    os.makedirs(out, exist_ok=True)  # a bad --out fails before any work
     coop = train_policy(cfg, AgentKind.HQLEARNER)
     defect = train_policy(cfg, AgentKind.QLEARNER)
     result = run_payoff_trials(cfg, coop, defect)
-    out = args.out
-    os.makedirs(out, exist_ok=True)
     write_matrix_csv(result, os.path.join(out, "matrix.csv"))
     n = len(result.per_trial)
     print(f"alpha: cooperative={coop.alpha:.3f} defecting={defect.alpha:.3f}")

@@ -132,7 +132,6 @@ class ResolvedConfig:
         kinds = tuple(s[f"agent{i}"] for i in range(s["players"]))
         return RunConfig(
             size=s["board_size"],
-            players=s["players"],
             total_steps=s["total_steps"],
             bin_size=s["bin"],
             trials=s["trials"],

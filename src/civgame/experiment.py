@@ -63,7 +63,6 @@ class RunConfig:
     in bins of bin_size turns, with one agent kind per seat."""
 
     size: int = 4
-    players: int = 4
     total_steps: int = 250_000
     bin_size: int = 2_500
     trials: int = 3
@@ -83,12 +82,13 @@ class RunConfig:
             raise ValueError("bin_size must divide total_steps")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if len(self.agent_kinds) != self.players:
-            raise ValueError(
-                f"need {self.players} agent kinds, got {len(self.agent_kinds)}"
-            )
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+
+    @property
+    def players(self) -> int:
+        """The seat count: one seat per agent kind."""
+        return len(self.agent_kinds)
 
 
 @dataclass

@@ -27,10 +27,6 @@ from .experiment import (
 from .game import RewardConfig
 
 
-class InsufficientDataError(ValueError):
-    """Too few moves to yield a meaningful behavior metric."""
-
-
 class PolicyClassificationError(ValueError):
     """A matchup input policy does not fall in the required class."""
 
@@ -75,8 +71,6 @@ MIN_MOVES = 100
 
 def alpha_from_counts(invasions: int, moves: int) -> float:
     """Invasions committed per hundred moves taken (ballots count as moves)."""
-    if moves < MIN_MOVES:
-        raise InsufficientDataError(f"need >= {MIN_MOVES} moves, got {moves}")
     return 100.0 * invasions / moves
 
 
@@ -166,8 +160,8 @@ class AnalysisConfig:
             value = getattr(self, name)
             if value < 1:
                 raise ValueError(f"{name} must be >= 1, got {value}")
-        # the defecting policy is evaluated in the base game, where its
-        # moves equal eval_steps, so fewer would fail after the training
+        # each policy's invasion rate is measured over eval_steps turns,
+        # which are at least eval_steps moves (ballots count as moves)
         if self.eval_steps < MIN_MOVES:
             raise ValueError(
                 f"eval_steps must be >= {MIN_MOVES}, got {self.eval_steps}"
@@ -182,7 +176,6 @@ def _match_config(
 ) -> RunConfig:
     return RunConfig(
         size=cfg.size,
-        players=cfg.players,
         total_steps=steps,
         bin_size=steps,
         trials=1,

@@ -156,7 +156,6 @@ def test_criterion_5_ola_write_pattern():
         steps = 1_000
         cfg = RunConfig(
             size=4,
-            players=4,
             total_steps=steps,
             bin_size=steps,
             trials=1,
@@ -242,7 +241,6 @@ def test_criterion_7_cli_determinism(tmp_path):
 def standard_config(kind: AgentKind) -> RunConfig:
     return RunConfig(
         size=4,
-        players=4,
         total_steps=250_000,
         bin_size=2_500,
         trials=3,
@@ -373,7 +371,7 @@ def test_criterion_10_metric_conservation():
                  AgentKind.QLEARNER),
             ):
                 cfg = RunConfig(
-                    size=4, players=4, total_steps=20_000, bin_size=2_000,
+                    size=4, total_steps=20_000, bin_size=2_000,
                     trials=1, agent_kinds=kinds, seed=5, variant=variant,
                 )
                 res = run_game(cfg, trial_seed(cfg.seed, 0))

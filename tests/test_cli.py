@@ -180,9 +180,17 @@ def test_simulate_board_size_over_key_limit_exits_2(tmp_path, capsys):
     assert "board size" in err and "255" in err
 
 
-def test_simulate_unwritable_out_exits_3(tmp_path):
+def _no_work(*args, **kwargs):
+    raise AssertionError("work started before --out was made")
+
+
+def test_simulate_unwritable_out_exits_3(tmp_path, monkeypatch):
+    """simulate, and analyze too, fail on --out before any work."""
+    monkeypatch.setattr("civgame.cli.run_trials", _no_work)
     cfg = write(tmp_path, "run.cfg", SMALL)
     assert run_cli(["simulate", "--config", cfg, "--out", "/proc/nope"]) == 3
+    monkeypatch.setattr("civgame.cli.train_policy", _no_work)
+    assert run_cli(["analyze", "--out", "/proc/nope"]) == 3
 
 
 # --- analyze --------------------------------------------------------------------
@@ -461,9 +469,11 @@ _BOUNDS = {
     **dict.fromkeys(_STEP_KEYS, 400),
 }
 # Values each key's parser and range checks accept (the steps and bin
-# need not divide each other); everything else comes in as a fault.
+# need not divide each other, and eval_steps is at least 100);
+# everything else comes in as a fault.
 _GOOD = {
     **dict.fromkeys(_STEP_KEYS, st.sampled_from([50, 100, 200, 400])),
+    "eval_steps": st.sampled_from([100, 200, 400]),
     "workers": st.integers(1, 2),
     "trials": st.integers(1, 2),
     "match_trials": st.integers(1, 2),

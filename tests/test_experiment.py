@@ -27,7 +27,6 @@ from civgame.game import Action
 def small_cfg(**kw) -> RunConfig:
     defaults = dict(
         size=4,
-        players=4,
         total_steps=2_500,
         bin_size=2_500,
         trials=1,
@@ -43,8 +42,6 @@ def test_config_validation():
         small_cfg(total_steps=1000, bin_size=300)
     with pytest.raises(ValueError):
         small_cfg(trials=0)
-    with pytest.raises(ValueError):
-        small_cfg(players=3)  # agent_kinds length mismatch
 
 
 def test_same_seed_same_run():
@@ -74,7 +71,7 @@ def test_action_counts_partition_moves():
 def test_stay_never_chosen_on_open_board():
     # with one opponent a player can never be boxed in on a 4x4 board
     cfg = small_cfg(
-        total_steps=2_500, players=2,
+        total_steps=2_500,
         agent_kinds=(AgentKind.RANDOM,) * 2, variant=Variant.BASE,
     )
     res = run_game(cfg, 2)
@@ -172,7 +169,7 @@ def test_trial_seeds_are_master_plus_index():
 
 @pytest.mark.parametrize("seats", [2, 4])
 def test_csv_round_trip(tmp_path, seats):
-    cfg = small_cfg(total_steps=1_000, bin_size=500, trials=2, players=seats,
+    cfg = small_cfg(total_steps=1_000, bin_size=500, trials=2,
                     agent_kinds=(AgentKind.HQLEARNER,) * seats)
     trials = run_trials(cfg)
     curve = tmp_path / "learning_curve.csv"

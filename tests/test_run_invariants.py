@@ -18,7 +18,6 @@ H, Q, R = AgentKind.HQLEARNER, AgentKind.QLEARNER, AgentKind.RANDOM
 def hql_cfg(**kw):
     defaults = dict(
         size=4,
-        players=4,
         total_steps=1_500,
         bin_size=1_500,
         trials=1,
@@ -76,7 +75,7 @@ def test_loop_matches_gamestate_oracle():
     ]
     for variant, size, kinds in runs:
         cfg = hql_cfg(
-            size=size, players=len(kinds), agent_kinds=kinds,
+            size=size, agent_kinds=kinds,
             total_steps=2_000, bin_size=500, variant=variant,
         )
         result, _ = replay_against_oracle(cfg, 31)
@@ -106,7 +105,7 @@ def oracle_runs(draw):
     unit = st.floats(0, 1)
     kinds = tuple(draw(st.lists(st.sampled_from((H, Q, R)), min_size=p, max_size=p)))
     cfg = RunConfig(
-        size=size, players=p, total_steps=total, bin_size=bin_size, trials=1,
+        size=size, total_steps=total, bin_size=bin_size, trials=1,
         agent_kinds=kinds, rewards=rewards,
         hp=Hyperparams(alpha=draw(unit), gamma=draw(unit), eps0=draw(unit),
                        eps_decay=draw(st.sampled_from((1.0, 0.999, 0.99)))),
