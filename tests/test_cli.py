@@ -181,7 +181,7 @@ def test_simulate_board_size_over_key_limit_exits_2(tmp_path, capsys):
 
 
 def _no_work(*args, **kwargs):
-    raise AssertionError("work started before --out was made")
+    raise AssertionError("work started before a check that should stop it")
 
 
 def test_simulate_unwritable_out_exits_3(tmp_path, monkeypatch):
@@ -245,10 +245,7 @@ def test_analyze_prints_alphas_tally_and_stag_fraction(
 def test_analyze_zero_match_trials_exits_2_before_training(
     tmp_path, monkeypatch, capsys
 ):
-    def no_training(*args, **kwargs):
-        raise AssertionError("trained despite an invalid config")
-
-    monkeypatch.setattr("civgame.cli.train_policy", no_training)
+    monkeypatch.setattr("civgame.cli.train_policy", _no_work)
     # the defecting policy's evaluation needs 100 moves, one per eval step
     for key, values, least in (
         ("match_trials", (0, -3), 1),
