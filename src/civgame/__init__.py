@@ -46,9 +46,6 @@ from .matrix import (
     AnalysisConfig,
     DilemmaClass,
     PayoffMatrix,
-    PolicyClass,
-    Thresholds,
-    classify_policy,
 )
 
 __version__ = "0.1.0"
@@ -63,13 +60,10 @@ __all__ = [
     "IllegalActionError",
     "MetricsBin",
     "PayoffMatrix",
-    "PolicyClass",
     "QTable",
     "RewardConfig",
     "RunConfig",
-    "Thresholds",
     "Variant",
-    "classify_policy",
     "count_states",
     "dump_qtable",
     "encode_state",

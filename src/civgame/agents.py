@@ -179,7 +179,7 @@ def ola_broadcast(
     (not recomputed). Entries of `tables` that are None (broadcasting
     disabled for that seat) are skipped.
     """
-    invaded_at, move_at, _ = key_offsets(key[0], key[1])
+    invaded_at, move_at = key_offsets(key[0], key[1])
     alpha = hp.alpha
     mover_at = BOARD_OFFSET + cells[mover]
     mover_flag_at = invaded_at + mover

@@ -14,7 +14,7 @@ from typing import Any, Callable
 from .agents import AgentKind, Hyperparams
 from .experiment import RunConfig, Variant
 from .game import MAX_PLAYERS, RewardConfig
-from .matrix import AnalysisConfig, Thresholds
+from .matrix import AnalysisConfig
 
 
 class ConfigError(ValueError):
@@ -65,8 +65,8 @@ SCHEMA: dict[str, tuple[Callable[[str], Any], Any]] = {
     "gamma": (float, _RUN.hp.gamma),
     "eps0": (float, _RUN.hp.eps0),
     "eps_decay": (float, _RUN.hp.eps_decay),
-    "alpha_c": (float, _ANALYSIS.thresholds.alpha_c),
-    "alpha_d": (float, _ANALYSIS.thresholds.alpha_d),
+    "alpha_c": (float, _ANALYSIS.alpha_c),
+    "alpha_d": (float, _ANALYSIS.alpha_d),
     "workers": (int, _RUN.workers),
     # matrix-analysis pipeline
     "train_steps": (int, _ANALYSIS.train_steps),
@@ -125,6 +125,8 @@ class ResolvedConfig:
 
     def run_config(self) -> RunConfig:
         s = self.settings
+        # checked before the agentN keys are read, since there is no
+        # agent4 key; RunConfig checks the seat count again once built
         if not 1 <= s["players"] <= MAX_PLAYERS:
             raise ValueError(
                 f"players must be in 1..{MAX_PLAYERS}, got {s['players']}"
@@ -172,7 +174,8 @@ class ResolvedConfig:
             match_variant=s["match_variant"],
             rewards=self.reward_config(),
             hp=self.hyperparams(),
-            thresholds=Thresholds(alpha_c=s["alpha_c"], alpha_d=s["alpha_d"]),
+            alpha_c=s["alpha_c"],
+            alpha_d=s["alpha_d"],
             seed=s["seed"],
             workers=s["workers"],
         )

@@ -74,6 +74,7 @@ class RunConfig:
     workers: int = 1
 
     def __post_init__(self) -> None:
+        initial_state(self.size, self.players)  # board size and seat range
         if self.bin_size < 1:
             raise ValueError("bin_size must be >= 1")
         if self.total_steps < 1:
@@ -188,7 +189,7 @@ def run_game(
 
     key = encode_state(initial_state(cfg.size, p))
     k = bytearray(key)
-    invaded_at, move_at, _ = key_offsets(cfg.size, p)
+    invaded_at, move_at = key_offsets(cfg.size, p)
     board_at = BOARD_OFFSET
     nbrs = neighbours(cfg.size)
     pos = list(corner_cells(cfg.size, p))  # each seat's cell

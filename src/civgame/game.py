@@ -256,11 +256,11 @@ def count_states(size: int, players: int) -> int:
 BOARD_OFFSET = 2
 
 
-def key_offsets(size: int, players: int) -> tuple[int, int, int]:
-    """Offsets of the first invaded byte, the move byte and the flag byte
-    in an encode_state key."""
+def key_offsets(size: int, players: int) -> tuple[int, int]:
+    """Offsets of the first invaded byte and of the move byte in an
+    encode_state key."""
     invaded = BOARD_OFFSET + size * size
-    return invaded, invaded + players, invaded + players + 1
+    return invaded, invaded + players
 
 
 def neighbours(size: int) -> tuple[dict[Action, int], ...]:
@@ -279,9 +279,9 @@ def encode_state(state: GameState) -> bytes:
     - bytes 2 + n to 2 + n + p - 1: the invaded flags (0 or 1) in seat order;
     - byte 2 + n + p: the move; byte 2 + n + p + 1: flag + 1.
 
-    key_offsets gives the last three offsets. run_game steps this layout
-    in place, and ola_broadcast builds its swapped keys from it at the
-    seats' cells that run_game hands it.
+    key_offsets gives the invaded and move offsets. run_game steps this
+    layout in place, and ola_broadcast builds its swapped keys from it at
+    the seats' cells that run_game hands it.
     """
     return (
         bytes((state.size, state.players))

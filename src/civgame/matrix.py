@@ -24,26 +24,20 @@ from .experiment import (
     stream_seed,
     write_csv,
 )
-from .game import RewardConfig
+from .game import RewardConfig, initial_state
 
 
 class PolicyClassificationError(ValueError):
     """A matchup input policy does not fall in the required class."""
 
     def __init__(
-        self, coop_alpha: float, defect_alpha: float, thresholds: Thresholds
+        self, coop_alpha: float, defect_alpha: float, cfg: AnalysisConfig
     ):
         super().__init__(
             f"policy classification failed: cooperative alpha={coop_alpha:.3f}, "
             f"defecting alpha={defect_alpha:.3f} "
-            f"(thresholds {thresholds.alpha_c}/{thresholds.alpha_d})"
+            f"(thresholds {cfg.alpha_c}/{cfg.alpha_d})"
         )
-
-
-class PolicyClass(Enum):
-    COOPERATIVE = "cooperative"
-    DEFECTING = "defecting"
-    NEITHER = "neither"
 
 
 class DilemmaClass(Enum):
@@ -53,18 +47,6 @@ class DilemmaClass(Enum):
     OTHER_DILEMMA = "OtherDilemma"
 
 
-@dataclass(frozen=True)
-class Thresholds:
-    """Invasions-per-100-moves cutoffs splitting policies into classes."""
-
-    alpha_c: float = 5.0
-    alpha_d: float = 15.0
-
-    def __post_init__(self) -> None:
-        if not self.alpha_c < self.alpha_d:
-            raise ValueError("alpha_c must be below alpha_d")
-
-
 # The fewest moves an invasion rate is measured over.
 MIN_MOVES = 100
 
@@ -72,14 +54,6 @@ MIN_MOVES = 100
 def alpha_from_counts(invasions: int, moves: int) -> float:
     """Invasions committed per hundred moves taken (ballots count as moves)."""
     return 100.0 * invasions / moves
-
-
-def classify_policy(alpha: float, thresholds: Thresholds) -> PolicyClass:
-    if alpha < thresholds.alpha_c:
-        return PolicyClass.COOPERATIVE
-    if alpha > thresholds.alpha_d:
-        return PolicyClass.DEFECTING
-    return PolicyClass.NEITHER
 
 
 @dataclass(frozen=True)
@@ -134,6 +108,9 @@ class AnalysisConfig:
     early, in the pre-convergence war regime of the base game: left to
     train long enough, independent Q-learners on this board settle into
     peaceful farming and stop classifying as defectors.
+
+    A policy is cooperative when its invasions per 100 moves are below
+    alpha_c, and defecting when they are above alpha_d.
     """
 
     size: int = RunConfig.size
@@ -146,13 +123,15 @@ class AnalysisConfig:
     match_variant: Variant = Variant.BASE
     rewards: RewardConfig = field(default_factory=RewardConfig)
     hp: Hyperparams = field(default_factory=Hyperparams)
-    thresholds: Thresholds = field(default_factory=Thresholds)
+    alpha_c: float = 5.0
+    alpha_d: float = 15.0
     seed: int = RunConfig.seed
     workers: int = RunConfig.workers
 
     def __post_init__(self) -> None:
         if self.players < 2:
             raise ValueError("matchups need at least 2 players")
+        initial_state(self.size, self.players)  # board size and seat range
         for name in (
             "train_steps", "defect_train_steps", "match_steps",
             "match_trials", "workers",
@@ -166,6 +145,8 @@ class AnalysisConfig:
             raise ValueError(
                 f"eval_steps must be >= {MIN_MOVES}, got {self.eval_steps}"
             )
+        if not self.alpha_c < self.alpha_d:
+            raise ValueError("alpha_c must be below alpha_d")
 
 
 def _match_config(
@@ -191,18 +172,19 @@ def play_matchup(
     cfg: AnalysisConfig,
     tables: Sequence[QTable],
     eps_by_seat: Sequence[float],
-    steps: int,
     seed: int,
-    variant: Variant | None = None,
-) -> tuple[list[float], list[int], list[int]]:
-    """Frozen-policy play; returns (per-seat payoff/step, invasions, moves).
+) -> list[float]:
+    """Each seat's payoff per step over cfg.match_steps turns of frozen
+    play in cfg.match_variant.
 
     The tables are only read, so they come back unchanged.
     """
-    run_cfg = _match_config(cfg, steps, variant or cfg.match_variant)
-    result = run_game(run_cfg, seed, tables=tables, frozen_eps=eps_by_seat)
-    payoffs = [total / steps for total in result.rewards_per_player]
-    return payoffs, result.invasions_per_player, result.moves_per_player
+    steps = cfg.match_steps
+    result = run_game(
+        _match_config(cfg, steps, cfg.match_variant), seed,
+        tables=tables, frozen_eps=eps_by_seat,
+    )
+    return [total / steps for total in result.rewards_per_player]
 
 
 def train_policy(cfg: AnalysisConfig, kind: AgentKind) -> TrainedPolicy:
@@ -221,15 +203,15 @@ def train_policy(cfg: AnalysisConfig, kind: AgentKind) -> TrainedPolicy:
     )
     tables = [t for t in result.tables if t is not None]
     final_eps = epsilon_at(steps, cfg.hp)
-    _, invasions, moves = play_matchup(
-        cfg,
-        tables,
-        [final_eps] * cfg.players,
-        cfg.eval_steps,
+    evaluation = run_game(
+        _match_config(cfg, cfg.eval_steps, variant),
         stream_seed(cfg.seed, f"eval:{kind.value}"),
-        variant=variant,
+        tables=tables,
+        frozen_eps=[final_eps] * cfg.players,
     )
-    alpha = alpha_from_counts(sum(invasions), sum(moves))
+    alpha = alpha_from_counts(
+        sum(evaluation.invasions_per_player), sum(evaluation.moves_per_player)
+    )
     return TrainedPolicy(tables=tables, final_eps=final_eps, alpha=alpha)
 
 
@@ -265,8 +247,7 @@ def _play_seating(
     """Per-seat payoffs of one (seating name, seed) matchup job."""
     name, seed = job
     tables, eps_by_seat = seatings[name]
-    payoffs, _, _ = play_matchup(cfg, tables, eps_by_seat, cfg.match_steps, seed)
-    return payoffs
+    return play_matchup(cfg, tables, eps_by_seat, seed)
 
 
 def run_payoff_trials(
@@ -281,11 +262,8 @@ def run_payoff_trials(
     matchups only read the tables, so they run in up to cfg.workers
     processes with the same results.
     """
-    if (
-        classify_policy(coop.alpha, cfg.thresholds) is not PolicyClass.COOPERATIVE
-        or classify_policy(defect.alpha, cfg.thresholds) is not PolicyClass.DEFECTING
-    ):
-        raise PolicyClassificationError(coop.alpha, defect.alpha, cfg.thresholds)
+    if not (coop.alpha < cfg.alpha_c and defect.alpha > cfg.alpha_d):
+        raise PolicyClassificationError(coop.alpha, defect.alpha, cfg)
 
     eps_c, eps_d = coop.final_eps, defect.final_eps
     p = cfg.players

@@ -45,7 +45,12 @@ from civgame.game import (
 )
 from civgame.matrix import DilemmaClass, PayoffMatrix
 from civgame.sovereign import sovereign_transition
-from conftest import LoggingQTable, enumerate_reachable
+from conftest import (
+    LoggingQTable,
+    enumerate_reachable,
+    naive_reachable,
+    to_naive,
+)
 
 
 @contextmanager
@@ -80,8 +85,6 @@ def test_criterion_2_enumeration_closure_and_cross_check():
             for a in legal_actions(s, s.move):
                 assert transition(s, a) in states
         # independent reimplementation agrees state-for-state
-        from test_game import naive_reachable, to_naive
-
         assert {to_naive(s) for s in states} == naive_reachable(3, 2)
         assert time.perf_counter() - t0 < 10.0
 

@@ -259,6 +259,15 @@ def test_analyze_zero_match_trials_exits_2_before_training(
             code = run_cli(["analyze", "--config", cfg, "--out", str(tmp_path)])
             assert code == 2, (key, value)
             assert f"{key} must be >= {least}" in capsys.readouterr().err
+    # the board and the seat count are checked before training too
+    for text, message in (
+        ("match_players=5", "player count must be in 1..4, got 5"),
+        ("board_size=1", "board size must be >= 2, got 1"),
+    ):
+        cfg = write(tmp_path, "an.cfg", text + "\n")
+        code = run_cli(["analyze", "--config", cfg, "--out", str(tmp_path)])
+        assert code == 2, text
+        assert message in capsys.readouterr().err
     assert not (tmp_path / "matrix.csv").exists()
 
 

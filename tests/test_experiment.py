@@ -42,6 +42,16 @@ def test_config_validation():
         small_cfg(total_steps=1000, bin_size=300)
     with pytest.raises(ValueError):
         small_cfg(trials=0)
+    # the board and the seats are checked when the config is built, not
+    # once a run starts
+    for kw, message in (
+        (dict(agent_kinds=()), "player count"),
+        (dict(agent_kinds=(AgentKind.QLEARNER,) * 5), "player count"),
+        (dict(size=1), "board size"),
+        (dict(size=300), "board size"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            small_cfg(**kw)
 
 
 def test_same_seed_same_run():

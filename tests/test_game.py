@@ -1,7 +1,5 @@
 """Base game: placement, legality, transition, reward, counting, encoding."""
 
-from collections import deque
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,11 +10,9 @@ from civgame.game import (
     IllegalActionError,
     RewardConfig,
     UNOWNED,
-    cell_owner,
     count_states,
     encode_state,
     initial_state,
-    is_occupied,
     legal_actions,
     move_dest,
     neighbours,
@@ -318,75 +314,6 @@ def test_encode_stable_across_processes():
 
 
 # --- reachable-set enumeration ------------------------------------------------
-
-
-def naive_reachable(size: int, players: int):
-    """Independent oracle: plain-tuple BFS reimplementation of the rules."""
-    occ = lambda i: ("occ", i)
-    terr = lambda i: ("terr", i)
-
-    def start():
-        board = [None] * (size * size)
-        corners = (
-            (0, size * size - 1)
-            if players == 2
-            else (0, size - 1, size * (size - 1), size * size - 1)[:players]
-        )
-        for i, c in enumerate(corners):
-            board[c] = occ(i)
-        return (tuple(board), (False,) * players, 0)
-
-    def naive_legal(state):
-        board, _, move = state
-        loc = board.index(occ(move))
-        row, col = divmod(loc, size)
-        out = []
-        if row > 0 and (board[loc - size] is None or board[loc - size][0] != "occ"):
-            out.append(loc - size)
-        if row < size - 1 and (
-            board[loc + size] is None or board[loc + size][0] != "occ"
-        ):
-            out.append(loc + size)
-        if col > 0 and (board[loc - 1] is None or board[loc - 1][0] != "occ"):
-            out.append(loc - 1)
-        if col < size - 1 and (board[loc + 1] is None or board[loc + 1][0] != "occ"):
-            out.append(loc + 1)
-        return out or [loc]
-
-    def naive_step(state, dest):
-        board, invaded, move = state
-        loc = board.index(occ(move))
-        nb, ni = list(board), list(invaded)
-        if dest != loc:
-            if nb[dest] is not None and nb[dest] != terr(move):
-                ni[nb[dest][1]] = True
-            nb[dest] = occ(move)
-            nb[loc] = terr(move)
-        ni[move] = False
-        return (tuple(nb), tuple(ni), (move + 1) % players)
-
-    seen = {start()}
-    queue = deque(seen)
-    while queue:
-        s = queue.popleft()
-        for dest in naive_legal(s):
-            nxt = naive_step(s, dest)
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    return seen
-
-
-def to_naive(state: GameState):
-    board = []
-    for c in state.board:
-        if c == UNOWNED:
-            board.append(None)
-        elif is_occupied(c):
-            board.append(("occ", cell_owner(c)))
-        else:
-            board.append(("terr", cell_owner(c)))
-    return (tuple(board), state.invaded, state.move)
 
 
 def test_reachable_states_satisfy_structural_invariants():

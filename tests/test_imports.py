@@ -1,5 +1,5 @@
-"""Import hygiene: no module in src/civgame or tests imports a name that
-it never reads.
+"""Import hygiene: no module in src/civgame, tests or tools imports a
+name that it never reads.
 
 A name that perfbench's tracer looks up in the module as a site
 (perfbench/sites.py) is exempt, and so is a name listed in `__all__`.
@@ -13,7 +13,8 @@ from conftest import perfbench_sites
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted([*(ROOT / "src" / "civgame").glob("*.py"),
-                  *(ROOT / "tests").glob("*.py")])
+                  *(ROOT / "tests").glob("*.py"),
+                  *(ROOT / "tools").glob("*.py")])
 SITES = perfbench_sites()
 
 

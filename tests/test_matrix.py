@@ -1,8 +1,8 @@
 """Matrix extraction: behavior metric, thresholds, payoffs, classification."""
 
+from dataclasses import replace
+
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from civgame.agents import AgentKind, QTable
 from civgame.experiment import RunConfig, Variant, run_game
@@ -10,19 +10,14 @@ from civgame.matrix import (
     AnalysisConfig,
     DilemmaClass,
     PayoffMatrix,
-    PolicyClass,
     PolicyClassificationError,
-    Thresholds,
     TrainedPolicy,
     alpha_from_counts,
-    classify_policy,
     play_matchup,
     run_payoff_trials,
     write_matrix_csv,
 )
 from conftest import replay_against_oracle
-
-TH = Thresholds()
 
 
 def sovereign_cfg(steps, seed):
@@ -72,33 +67,10 @@ def test_social_metric_agrees_with_run_counters():
 # --- classification ----------------------------------------------------------
 
 
-@pytest.mark.parametrize(
-    "alpha,expected",
-    [
-        (3.0, PolicyClass.COOPERATIVE),
-        (20.0, PolicyClass.DEFECTING),
-        (10.0, PolicyClass.NEITHER),
-        (5.0, PolicyClass.NEITHER),  # thresholds are strict
-        (15.0, PolicyClass.NEITHER),
-    ],
-)
-def test_classify_policy(alpha, expected):
-    assert classify_policy(alpha, TH) is expected
-
-
 def test_thresholds_must_be_ordered():
-    with pytest.raises(ValueError):
-        Thresholds(alpha_c=15, alpha_d=5)
-
-
-@settings(max_examples=200, deadline=None)
-@given(a=st.floats(0, 100), b=st.floats(0, 100))
-def test_classify_policy_monotone(a, b):
-    lo, hi = min(a, b), max(a, b)
-    order = [PolicyClass.COOPERATIVE, PolicyClass.NEITHER, PolicyClass.DEFECTING]
-    assert order.index(classify_policy(lo, TH)) <= order.index(
-        classify_policy(hi, TH)
-    )
+    for alpha_c, alpha_d in ((15, 5), (5, 5)):
+        with pytest.raises(ValueError, match="alpha_c must be below alpha_d"):
+            AnalysisConfig(alpha_c=alpha_c, alpha_d=alpha_d)
 
 
 # --- payoff matrix ------------------------------------------------------------
@@ -155,9 +127,11 @@ def test_fear_greed_matches_stored_fields_exactly():
 def test_long_term_payoff_counts_votes_and_moves():
     """A frozen sovereign match pays each seat its own turns' rewards plus
     its share of every vote payout, per step."""
-    cfg = AnalysisConfig(size=4, players=2, match_variant=Variant.SOVEREIGN)
+    cfg = AnalysisConfig(
+        size=4, players=2, match_steps=300, match_variant=Variant.SOVEREIGN
+    )
     tables = [QTable(), QTable()]
-    payoffs, _, _ = play_matchup(cfg, tables, [1.0, 1.0], 300, 4)
+    payoffs = play_matchup(cfg, tables, [1.0, 1.0], 4)
     # the same match, replayed through the GameState rules
     run_cfg = RunConfig(
         size=4, total_steps=300, bin_size=300, trials=1,
@@ -189,7 +163,7 @@ def stub_matchup(monkeypatch):
         calls = iter(payoffs_by_call)
         seeds = []  # one per call
 
-        def fake(cfg, tables, eps_by_seat, steps, seed, variant=None):
+        def fake(cfg, tables, eps_by_seat, seed):
             p, half = cfg.players, cfg.players // 2
             c, d = coop.tables, defect.tables
             ec, ed = [coop.final_eps] * p, [defect.final_eps] * p
@@ -202,8 +176,7 @@ def stub_matchup(monkeypatch):
             assert len(tables) == p
             assert all(t is w for t, w in zip(tables, want[0]))
             assert list(eps_by_seat) == want[1]
-            assert steps == cfg.match_steps and variant is None
-            return next(calls), [0] * p, [0] * p
+            return next(calls)
 
         monkeypatch.setattr("civgame.matrix.play_matchup", fake)
         return seeds
@@ -248,8 +221,13 @@ def test_payoff_matrix_rejects_misclassified_inputs(stub_matchup):
         "policy classification failed: cooperative alpha=10.000, "
         "defecting alpha=30.000 (thresholds 5.0/15.0)"
     )
-    with pytest.raises(PolicyClassificationError):
-        run_payoff_trials(cfg, make_policy(alpha=0.0), make_policy(alpha=10.0))
+    # the cutoffs are strict: alpha_c itself is not cooperative, nor
+    # alpha_d itself defecting
+    for coop_alpha, defect_alpha in ((0.0, 10.0), (5.0, 30.0), (0.0, 15.0)):
+        with pytest.raises(PolicyClassificationError):
+            run_payoff_trials(
+                cfg, make_policy(alpha=coop_alpha), make_policy(alpha=defect_alpha)
+            )
     assert calls == []
 
 
@@ -297,10 +275,10 @@ def test_frozen_matchup_runs_and_is_seeded():
     )
     policy = train_policy(cfg, AgentKind.HQLEARNER)
     assert len(policy.tables) == 2
-    a1, _, _ = play_matchup(cfg, policy.tables, [0.01, 0.01], 600, 42)
-    a2, _, _ = play_matchup(cfg, policy.tables, [0.01, 0.01], 600, 42)
+    a1 = play_matchup(cfg, policy.tables, [0.01, 0.01], 42)
+    a2 = play_matchup(cfg, policy.tables, [0.01, 0.01], 42)
     assert a1 == a2
-    b1, _, _ = play_matchup(cfg, policy.tables, [0.01, 0.01], 600, 43)
+    b1 = play_matchup(cfg, policy.tables, [0.01, 0.01], 43)
     assert len(b1) == 2
 
 
@@ -309,7 +287,7 @@ def test_play_matchup_leaves_input_tables_unchanged():
     in the matchup variant and in the sovereign one."""
     from civgame.agents import dump_qtable
 
-    cfg = AnalysisConfig(size=4, players=2)
+    cfg = AnalysisConfig(size=4, players=2, match_steps=2_000)
     trained = run_game(
         RunConfig(
             size=4, total_steps=2_000, bin_size=2_000, trials=1,
@@ -321,7 +299,7 @@ def test_play_matchup_leaves_input_tables_unchanged():
     tables = trained.tables
     before = [(len(t), dump_qtable(t)) for t in tables]
     for variant in (Variant.BASE, Variant.SOVEREIGN):
-        play_matchup(cfg, tables, [0.1, 0.1], 2_000, 8, variant=variant)
+        play_matchup(replace(cfg, match_variant=variant), tables, [0.1, 0.1], 8)
     assert [(len(t), dump_qtable(t)) for t in tables] == before
 
 
