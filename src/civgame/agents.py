@@ -60,22 +60,53 @@ class QTable:
     row sees all zeros and leaves the table as it is.
     Unreinforced entries are therefore exact ties, and the uniform
     tie-breaking in select_action keeps unlearned choices stochastic.
+    `writes` counts the writes and `changes` those that changed a value.
     """
 
     def __init__(self) -> None:
         self.rows: dict[bytes, list[float]] = {}
         self.writes = 0
+        self.changes = 0
 
     def blend(self, key: bytes, action: Action, delta: float, alpha: float) -> None:
         """Core table write: Q <- (1 - alpha) * Q + delta."""
         row = self.rows.get(key)
         if row is None:
             row = self.rows[key] = [0.0] * NUM_ACTIONS
-        row[action] = (1.0 - alpha) * row[action] + delta
+        old = row[action]
+        row[action] = new = (1.0 - alpha) * old + delta
         self.writes += 1
+        # != is a bitwise test here, as no write makes a NaN (the values
+        # stay finite) or a -0.0: a sum is -0.0 only if both terms are,
+        # and delta = alpha * (reward + gamma * max) is -0.0 only when a
+        # tiny alpha underflows it, and then (1 - alpha) * old is old
+        if new != old:
+            self.changes += 1
+
+    def repeat_writes(
+        self, writes: Sequence[tuple[bytes, Action, float]], times: int
+    ) -> None:
+        """Make the (key, action, delta) blends of `writes` again, in
+        order, `times` over, where each is known to leave its value as it
+        is: only the count of writes changes."""
+        self.writes += len(writes) * times
 
     def __len__(self) -> int:
         return len(self.rows)
+
+
+def greedy_actions(
+    q: QTable, key: bytes, legal: Sequence[Action]
+) -> Sequence[Action]:
+    """The legal actions of highest value at `key`, in the order of
+    `legal`. Only reads the table: at a key without a row every legal
+    action ties."""
+    row = q.rows.get(key)
+    if row is None:
+        return legal
+    values = [row[a] for a in legal]
+    best = max(values)
+    return [a for a, v in zip(legal, values) if v == best]
 
 
 def select_action(
@@ -84,17 +115,19 @@ def select_action(
     legal: Sequence[Action],
     eps: float,
     rng: random.Random,
+    greedy: Sequence[Action] | None = None,
 ) -> Action:
     """Epsilon-greedy over the legal set, uniform tie-breaking on exploit.
 
-    `key` is an encode_state key. Only reads the table: a key without a
-    row reads as all zeros, so every legal action ties. Each call draws
-    rng.random() once, then one index to explore or to break a tie among
-    two or more actions. A seat without a table (`q` None, the random
-    baseline) has no values: it skips the explore draw and `eps`, and
-    draws one uniform index over the legal set. The index is drawn
-    inline by the rejection loop of CPython's rng.randrange(n), so it
-    equals randrange(n) and uses the same draws;
+    `key` is an encode_state key. Each call draws rng.random() once, then
+    one index to explore or to break a tie among two or more actions;
+    on exploit it takes greedy_actions(q, key, legal), or `greedy` when
+    given, which must be those choices read earlier (the table is then
+    not read). A seat without a table (`q` None, the random baseline)
+    has no values: it skips the explore draw and `eps`, and draws one
+    uniform index over the legal set. The index is drawn inline by the
+    rejection loop of CPython's rng.randrange(n), so it equals
+    randrange(n) and uses the same draws;
     tests/test_agents.py::test_select_action_matches_randrange pins this.
     """
     if not legal:
@@ -102,13 +135,7 @@ def select_action(
     if q is None or rng.random() < eps:
         choices = legal
     else:
-        row = q.rows.get(key)
-        if row is None:
-            choices = legal
-        else:
-            values = [row[a] for a in legal]
-            best = max(values)
-            choices = [a for a, v in zip(legal, values) if v == best]
+        choices = greedy_actions(q, key, legal) if greedy is None else greedy
         if len(choices) == 1:
             return choices[0]
     n = len(choices)

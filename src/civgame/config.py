@@ -13,7 +13,7 @@ from typing import Any, Callable
 
 from .agents import AgentKind, Hyperparams
 from .experiment import RunConfig, Variant
-from .game import MAX_PLAYERS, RewardConfig
+from .game import RewardConfig, check_board_size, check_players
 from .matrix import AnalysisConfig
 
 
@@ -22,6 +22,14 @@ class ConfigError(ValueError):
 
     def __init__(self, message: str, line_no: int, line: str):
         super().__init__(f"line {line_no}: {message}: {line!r}")
+
+
+def _check_key(settings: dict[str, Any], key: str, check: Callable) -> None:
+    """check(settings[key]), with the key named in its error."""
+    try:
+        check(settings[key])
+    except ValueError as exc:
+        raise ValueError(f"{key}: {exc}") from None
 
 
 def _enum_parser(enum: type[Enum], what: str) -> Callable[[str], Any]:
@@ -125,12 +133,10 @@ class ResolvedConfig:
 
     def run_config(self) -> RunConfig:
         s = self.settings
-        # checked before the agentN keys are read, since there is no
-        # agent4 key; RunConfig checks the seat count again once built
-        if not 1 <= s["players"] <= MAX_PLAYERS:
-            raise ValueError(
-                f"players must be in 1..{MAX_PLAYERS}, got {s['players']}"
-            )
+        # the seat count is checked before the agentN keys are read, since
+        # there is no agent4 key; RunConfig checks both again once built
+        _check_key(s, "players", check_players)
+        _check_key(s, "board_size", check_board_size)
         kinds = tuple(s[f"agent{i}"] for i in range(s["players"]))
         return RunConfig(
             size=s["board_size"],
@@ -163,6 +169,9 @@ class ResolvedConfig:
 
     def analysis_config(self) -> AnalysisConfig:
         s = self.settings
+        # AnalysisConfig checks both again, in messages without the key
+        _check_key(s, "match_players", check_players)
+        _check_key(s, "board_size", check_board_size)
         return AnalysisConfig(
             size=s["board_size"],
             players=s["match_players"],

@@ -12,6 +12,7 @@ import csv
 import hashlib
 import os
 import random
+from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
@@ -22,6 +23,7 @@ from .agents import (
     Hyperparams,
     NUM_ACTIONS,
     QTable,
+    greedy_actions,
     ola_broadcast,
     q_update,
     select_action,
@@ -159,15 +161,17 @@ def run_game(
     frozen_eps[i] is set it plays frozen at that eps and makes no
     updates, else it learns at the step's epsilon_at, and an hq learner
     also broadcasts, receives the other hq learners' broadcasts and
-    learns from vote payouts. Every seat decides through select_action.
+    learns from vote payouts. Every seat decides through select_action;
+    in a replayed period it hands over the greedy choices recorded.
 
     The loop's state is the encode_state key itself, a bytearray edited
-    in place, plus each seat's cell and territory count and the number
-    of forced-defer turns left. Each seat's cell also hands ola_broadcast
-    the positions in the pre-move key. It plays by the rules that
-    transition, sovereign_transition, reward and is_invasion define on
-    GameState; the tests play each run again through those functions and
-    compare its bins, per-seat totals and table writes with theirs.
+    in place, plus each seat's cell and territory count, the number of
+    forced-defer turns left, and the period that _Replay recorded to play
+    again. Each seat's cell also hands ola_broadcast the positions in
+    the pre-move key. It plays by the rules that transition,
+    sovereign_transition, reward and is_invasion define on GameState;
+    the tests play each run again through those functions and compare
+    its bins, per-seat totals and table writes with theirs.
     """
     p, hp, rc = cfg.players, cfg.hp, cfg.rewards
     sovereign = cfg.variant is Variant.SOVEREIGN
@@ -219,19 +223,37 @@ def run_game(
         return acts or [Action.STAY]
 
     eps0, decay = hp.eps0, hp.eps_decay
+    replay = _Replay(tables, recv_tables, learns, frozen, rngs, eps0, decay,
+                     cycle)
+    # the tables that the loop writes through, recorders while _Replay
+    # records a period; slow while it records or holds drawn decisions
+    update_tables, recv, slow = replay.tables, replay.recv, replay.slow
+    top1 = top2 = b""  # the keys at the last two cycle tops
     defer, stay = Action.DEFER, Action.STAY
     vote_bonus, vote_penalty = rc.vote_bonus, rc.vote_penalty
     move = 0
     legal = legal_of(0)  # the legal set of the seat to move
     for b in bins:
         counts = b.action_counts
-        for t in range(b.bin_start, b.bin_start + b.bin_size):
-            eps = eps0 * decay**t  # epsilon_at(t, hp)
+        t, end = b.bin_start, b.bin_start + b.bin_size
+        while t < end:
             if move == sample_at:
+                lag = 1 if key == top1 else 2 if key == top2 else 0
+                if lag or slow:
+                    # replayed periods move t on and leave the state as is
+                    t = replay.top(t, end, key, lag, b, rewards_per_player,
+                                   invasions_per_player)
+                    if t == end:
+                        break
+                    update_tables, recv, slow = (
+                        replay.tables, replay.recv, replay.slow)
+                top1, top2 = key, top1
                 b.invasions += sum(k[invaded_at:move_at])
+            eps = eps0 * decay**t  # epsilon_at(t, hp)
             if move == p:  # the sovereign vote
                 ballots = [
-                    select_action(
+                    replay.decide(i, key, ballot_options[i], eps, t) if slow
+                    else select_action(
                         tables[i], key, ballot_options[i],
                         eps if frozen[i] is None else frozen[i], rngs[i],
                     )
@@ -253,18 +275,24 @@ def run_game(
                         vote_bonus if success else vote_penalty if duped else 0
                     )
                     if hq[i] and (success or duped):
-                        q_update(tables[i], key, defer, payout, next_key, legal, hp)
+                        q_update(update_tables[i], key, defer, payout, next_key,
+                                 legal, hp)
                     counts[i][ballot] += 1
                     rewards_per_player[i] += payout
                     b.cs_sum += payout
                 b.successful_defers += success
                 key = next_key
+                t += 1
                 continue
 
             i = move
-            action = select_action(
-                tables[i], key, legal, eps if frozen[i] is None else frozen[i], rngs[i]
-            )
+            if slow:
+                action = replay.decide(i, key, legal, eps, t)
+            else:
+                action = select_action(
+                    tables[i], key, legal,
+                    eps if frozen[i] is None else frozen[i], rngs[i],
+                )
             # reward terms from the pre-move bytes: farming, then (unless
             # a forced defer) the invaded penalty and the invasion bonus
             r = terr[i]
@@ -302,11 +330,12 @@ def run_game(
                 legal = [defer] if forced else legal_of(move)
 
             if learns[i]:
-                delta = q_update(tables[i], key, action, r, next_key, legal, hp)
+                delta = q_update(update_tables[i], key, action, r, next_key,
+                                 legal, hp)
                 if hq[i]:
                     # the broadcast reads the cells of the pre-move key
                     pos[i] = loc
-                    ola_broadcast(recv_tables, key, pos, action, delta, i, hp)
+                    ola_broadcast(recv, key, pos, action, delta, i, hp)
                     pos[i] = dest
 
             rewards_per_player[i] += r
@@ -314,6 +343,7 @@ def run_game(
             b.cs_sum += r
             counts[i][action] += 1
             key = next_key
+            t += 1
 
     return RunResult(
         bins=bins,
@@ -321,6 +351,219 @@ def run_game(
         invasions_per_player=invasions_per_player,
         tables=tables if keep_tables else None,
     )
+
+
+class _Recorder:
+    """A learner's table while _Replay records a period: each write is
+    made on the table and noted as (key, action, delta)."""
+
+    def __init__(self, table: QTable):
+        self.table, self.rows = table, table.rows
+        self.writes: list[tuple[bytes, Action, float]] = []
+
+    def blend(self, key: bytes, action: Action, delta: float, alpha: float) -> None:
+        self.writes.append((key, action, delta))
+        self.table.blend(key, action, delta, alpha)
+
+
+def _counters(b: MetricsBin, rewards: list[int], invasions: list[int]) -> tuple:
+    """A copy of every counter that play adds to: the bin's sums and
+    action counts, and each seat's reward and invasions."""
+    return (b.cs_sum, b.invasions, b.successful_defers,
+            [row[:] for row in b.action_counts], rewards[:], invasions[:])
+
+
+@dataclass
+class _Period:
+    """A stretch of play from a cycle top back to a top with the same
+    key, in which no table write changed a value.
+
+    `decisions` holds, in draw order, each decision's step offset and
+    select_action arguments (the seat's table, the key, the legal set,
+    its frozen eps or None for the schedule's, its stream and the greedy
+    choices, None for a seat without a table), then the action drawn.
+    The rest is what the stretch added: `added` is _counters' difference
+    over it, and `writes` each learner's table with its writes.
+    """
+
+    key: bytes
+    changes: int  # the learners' value changes when it was recorded
+    length: int
+    decisions: list[tuple]
+    added: tuple
+    writes: list[tuple[QTable, list]]
+
+    def add_to(self, times: int, b: MetricsBin, rewards: list[int],
+               invasions: list[int]) -> None:
+        """Add what the stretch added, `times` over."""
+        cs_sum, invaded, defers, counts, seat_rewards, seat_invasions = self.added
+        b.cs_sum += times * cs_sum
+        b.invasions += times * invaded
+        b.successful_defers += times * defers
+        for row, added in zip(b.action_counts, counts):
+            for a, n in enumerate(added):
+                row[a] += times * n
+        for i, (r, n) in enumerate(zip(seat_rewards, seat_invasions)):
+            rewards[i] += times * r
+            invasions[i] += times * n
+        for table, writes in self.writes:
+            table.repeat_writes(writes, times)
+
+
+class _Replay:
+    """run_game's replay of a period of play that changed nothing.
+
+    run_game calls `top` at a cycle top, its once-a-cycle point, when the
+    key is that of the top 1 or 2 cycles back, and at every top while
+    `slow`. A period is recorded from a top whose key the tops `lag`
+    and 2 * lag cycles back also had (lag 1 is the sovereign steady
+    state, lag 2 the orbit of two frozen seats in the base game), with
+    no value changed by the learners over the last lag cycles. It is
+    kept if play came back to its key after lag cycles, within one bin,
+    with no value changed (see _Period).
+
+    At a top the key fixes the rest of the loop's state (the cells, the
+    territory counts and the legal sets; the forced count is 0). While
+    no value changes, the rows read are those of the recording, so the
+    period plays again exactly when each seat's select_action, handed
+    the recorded greedy choices, draws its recorded decision. Then only
+    the period's counters and write counts are added, as long as it fits
+    in the bin. When a draw differs, the loop goes on from the top, and
+    the seats take the decisions drawn so far (`decide`).
+    """
+
+    def __init__(self, tables, recv_tables, learns, frozen, rngs, eps0, decay,
+                 cycle):
+        self.base_tables, self.base_recv = tables, recv_tables
+        self.learns, self.frozen, self.rngs = learns, frozen, rngs
+        self.eps0, self.decay, self.cycle = eps0, decay, cycle
+        self.learners = [t for t, learn in zip(tables, learns) if learn]
+        # what the loop writes through: recorders while recording
+        self.tables, self.recv = tables, self.base_recv
+        # whether the loop's decisions must go through `decide`
+        self.slow = False
+        # (key, value changes, step) at the last two tops whose key was
+        # that of the top 1 or 2 cycles back
+        self.repeats: deque[tuple] = deque(maxlen=2)
+        self.period: _Period | None = None
+        self.record: list[tuple] | None = None  # (t, seat, key, legal, action)
+        self.record_end = 0
+        self.start: tuple = ()  # the recording's first top and counters
+        self.recorders: list[_Recorder | None] = []
+        self.queued: list[Action] = []  # drawn by a replay, not yet played
+
+    def changes(self) -> int:
+        return sum(t.changes for t in self.learners)
+
+    def decide(self, i: int, key: bytes, legal: list[Action], eps: float,
+               t: int) -> Action:
+        """Seat i's action at step t: the next decision a replay drew, or
+        select_action's; noted while a period is recorded. `eps` is the
+        step's schedule eps."""
+        if self.queued:
+            action = self.queued.pop(0)
+        else:
+            e = self.frozen[i]
+            action = select_action(self.base_tables[i], key, legal,
+                                   eps if e is None else e, self.rngs[i])
+        if self.record is not None:
+            self.record.append((t, i, key, legal, action))
+        return action
+
+    def top(self, t: int, end: int, key: bytes, lag: int, b: MetricsBin,
+            rewards: list[int], invasions: list[int]) -> int:
+        """At the cycle top at step t of bin b, which ends at `end`, before
+        its invasions are sampled; `lag` is 1 or 2 when the key is that
+        of the top so many cycles back, else 0. Returns the step at which
+        the loop goes on, past t when periods were replayed."""
+        if self.record is not None:
+            if t < self.record_end:
+                return t
+            self._finish(t, key, rewards, invasions)
+        period = self.period
+        if self.queued:
+            pass  # the drawn decisions are played first
+        elif period is not None and key == period.key:
+            if self.changes() == period.changes:
+                t = self._replay(t, end, b, rewards, invasions)
+            else:
+                self.period = None
+        elif lag:
+            changes = self.changes()
+            if (key, changes, t - lag * self.cycle) in self.repeats:
+                self._start(t, lag, key, changes, b, rewards, invasions)
+            self.repeats.append((key, changes, t))
+        self.slow = bool(self.queued) or self.record is not None
+        return t
+
+    def _start(self, t, lag, key, changes, b, rewards, invasions) -> None:
+        self.record = []
+        self.record_end = t + lag * self.cycle
+        self.start = (t, key, changes, b, _counters(b, rewards, invasions))
+        self.recorders = [
+            _Recorder(table) if learn else None
+            for table, learn in zip(self.base_tables, self.learns)
+        ]
+        self.tables = [
+            table if r is None else r
+            for table, r in zip(self.base_tables, self.recorders)
+        ]
+        self.recv = [
+            None if table is None else r
+            for table, r in zip(self.base_recv, self.recorders)
+        ]
+
+    def _finish(self, t, key, rewards, invasions) -> None:
+        record, self.record = self.record, None
+        self.tables, self.recv = self.base_tables, self.base_recv
+        # a value changed since the start stops it at its first replay
+        t0, key0, changes, b, before = self.start
+        if key != key0 or t > b.bin_start + b.bin_size:
+            return
+        decisions = []
+        for tj, i, kj, legal, action in record:
+            table = self.base_tables[i]
+            greedy = None if table is None else greedy_actions(table, kj, legal)
+            decisions.append((tj - t0, table, kj, legal, self.frozen[i],
+                              self.rngs[i], greedy, action))
+        cs0, inv0, sd0, counts0, rw0, iv0 = before
+        cs1, inv1, sd1, counts1, rw1, iv1 = _counters(b, rewards, invasions)
+        added = (
+            cs1 - cs0, inv1 - inv0, sd1 - sd0,
+            [[y - x for x, y in zip(r0, r1)] for r0, r1 in zip(counts0, counts1)],
+            [y - x for x, y in zip(rw0, rw1)],
+            [y - x for x, y in zip(iv0, iv1)],
+        )
+        self.period = _Period(
+            key, changes, t - t0, decisions, added,
+            [(r.table, r.writes) for r in self.recorders
+             if r is not None and r.writes],
+        )
+
+    def _replay(self, t, end, b, rewards, invasions) -> int:
+        period = self.period
+        n = period.length
+        times = 0
+        while t + n <= end and self._draws_again(t):
+            times += 1
+            t += n
+        if times:
+            period.add_to(times, b, rewards, invasions)
+        return t
+
+    def _draws_again(self, t: int) -> bool:
+        """Draw the period's decisions from step t on. At the first that
+        differs from the record, queue the decisions drawn: False."""
+        eps0, decay = self.eps0, self.decay
+        decisions = self.period.decisions
+        for d, (s, q, key, legal, eps, rng, greedy, action) in enumerate(decisions):
+            if eps is None:
+                eps = eps0 * decay ** (t + s)
+            drawn = select_action(q, key, legal, eps, rng, greedy)
+            if drawn is not action:
+                self.queued = [dec[-1] for dec in decisions[:d]] + [drawn]
+                return False
+        return True
 
 
 def trial_seed(master_seed: int, trial: int) -> int:

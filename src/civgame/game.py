@@ -116,7 +116,8 @@ def corner_cells(size: int, players: int) -> tuple[int, ...]:
     return (0, b - 1, b * (b - 1), b * b - 1)[:players]
 
 
-def initial_state(size: int, players: int) -> GameState:
+def check_board_size(size: int) -> None:
+    """Raise ValueError unless the state key can hold a board this size."""
     if size < 2:
         raise ValueError(f"board size must be >= 2, got {size}")
     if size > MAX_BOARD_SIZE:
@@ -124,8 +125,17 @@ def initial_state(size: int, players: int) -> GameState:
             f"board size must be <= {MAX_BOARD_SIZE}, since the state key "
             f"stores it in one byte; got {size}"
         )
+
+
+def check_players(players: int) -> None:
+    """Raise ValueError unless the game has seats for this many players."""
     if not 1 <= players <= MAX_PLAYERS:
         raise ValueError(f"player count must be in 1..{MAX_PLAYERS}, got {players}")
+
+
+def initial_state(size: int, players: int) -> GameState:
+    check_board_size(size)
+    check_players(players)
     board = bytearray(size * size)
     for i, cell in enumerate(corner_cells(size, players)):
         board[cell] = _OCC_BASE + i

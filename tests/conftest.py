@@ -8,6 +8,7 @@ from typing import NamedTuple
 
 import pytest
 
+from civgame import experiment
 from civgame.agents import AgentKind, QTable, epsilon_at, ola_state
 from civgame.experiment import MetricsBin, Variant, agent_rng, run_game
 from civgame.game import (
@@ -133,17 +134,29 @@ class LoggingQTable(QTable):
     """A QTable that records every learning write.
 
     `write_log` gets (key, action, old, new, delta) for each `blend`,
-    with the value before and after the write.
+    with the value before and after the write. A replayed period makes
+    its writes again through `repeat_writes`: each is logged in order
+    with the value it finds as both old and new, so the replay oracle
+    checks that it changes nothing. `repeats` counts those calls.
     """
 
     def __init__(self) -> None:
         super().__init__()
         self.write_log: list = []
+        self.repeats = 0
 
     def blend(self, key, action, delta, alpha):
         old = self.rows.get(key, (0.0,) * len(Action))[action]
         super().blend(key, action, delta, alpha)
         self.write_log.append((key, action, old, self.rows[key][action], delta))
+
+    def repeat_writes(self, writes, times):
+        super().repeat_writes(writes, times)
+        self.repeats += 1
+        for _ in range(times):
+            for key, action, delta in writes:
+                value = self.rows[key][action]
+                self.write_log.append((key, action, value, value, delta))
 
 
 def randrange_select(rows, key, legal, eps, rng):
@@ -318,6 +331,37 @@ def replay_against_oracle(cfg, seed, tables=None, frozen_eps=None):
     assert result.rewards_per_player == rewards
     assert result.invasions_per_player == invasions
     return result, steps
+
+
+class ReplayLog(NamedTuple):
+    """What run_game replayed (see experiment._Replay)."""
+
+    periods: list  # (bin_start, times, length) per stretch of replayed periods
+    draws: list  # (legal, greedy, action) per decision a replay drew
+
+
+@pytest.fixture
+def replay_log(monkeypatch):
+    """Logs, through the module names that run_game looks up, each
+    stretch of periods it replays and each select_action call it makes
+    with the greedy choices handed in, which only a replay makes."""
+    log = ReplayLog([], [])
+    add_to = experiment._Period.add_to
+    select = experiment.select_action
+
+    def logged_add_to(period, times, b, rewards, invasions):
+        log.periods.append((b.bin_start, times, period.length))
+        add_to(period, times, b, rewards, invasions)
+
+    def logged_select(q, key, legal, eps, rng, greedy=None):
+        action = select(q, key, legal, eps, rng, greedy)
+        if greedy is not None:
+            log.draws.append((legal, greedy, action))
+        return action
+
+    monkeypatch.setattr(experiment._Period, "add_to", logged_add_to)
+    monkeypatch.setattr(experiment, "select_action", logged_select)
+    return log
 
 
 @pytest.fixture

@@ -15,6 +15,7 @@ from civgame.agents import (
     QTable,
     dump_qtable,
     epsilon_at,
+    greedy_actions,
     ola_broadcast,
     ola_state,
     q_update,
@@ -113,18 +114,23 @@ def test_select_rejects_empty_legal():
 )
 def test_select_action_matches_randrange(seed, legal, has_table, row, eps):
     """The inline draw picks what randrange(n) picks, with the same
-    draws: over a run of calls the actions agree and both streams stay
+    draws: over a run of calls the actions agree and all streams stay
     in the same state. A row of None means the key has no row; a seat
-    without a table draws as legal[rng.randrange(len(legal))]."""
+    without a table draws as legal[rng.randrange(len(legal))]. A replay
+    hands select_action the greedy choices read earlier, with a table
+    it then does not read (here an empty one), and draws the same."""
     q = QTable() if has_table else None
     if has_table and row is not None:
         q.rows[b"s"] = row
     rows = q.rows if has_table else None
-    rng, oracle_rng = random.Random(seed), random.Random(seed)
+    greedy = greedy_actions(q, b"s", legal) if has_table else None
+    unread = QTable() if has_table else None
+    rng, oracle_rng, replay_rng = (random.Random(seed) for _ in range(3))
     for _ in range(20):
         action = select_action(q, b"s", legal, eps, rng)
         assert action == randrange_select(rows, b"s", legal, eps, oracle_rng)
-        assert rng.getstate() == oracle_rng.getstate()
+        assert select_action(unread, b"s", legal, eps, replay_rng, greedy) == action
+        assert rng.getstate() == oracle_rng.getstate() == replay_rng.getstate()
     if has_table:
         assert q.rows == ({} if row is None else {b"s": row})
 

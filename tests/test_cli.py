@@ -173,15 +173,21 @@ def test_simulate_invalid_bin_exits_2(tmp_path):
     assert not (tmp_path / "learning_curve.csv").exists()
 
 
-def test_simulate_board_size_over_key_limit_exits_2(tmp_path, capsys):
-    cfg = write(tmp_path, "run.cfg", "board_size=300\ntotal_steps=10\nbin=10\n")
-    assert run_cli(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 2
-    err = capsys.readouterr().err
-    assert "board size" in err and "255" in err
-
-
 def _no_work(*args, **kwargs):
     raise AssertionError("work started before a check that should stop it")
+
+
+def test_simulate_board_size_errors_name_the_key(tmp_path, monkeypatch, capsys):
+    """A board too small, or too large for the key's size byte, exits 2
+    before any run, naming board_size."""
+    monkeypatch.setattr("civgame.cli.run_trials", _no_work)
+    for size, message in (
+        (1, "board_size: board size must be >= 2, got 1"),
+        (300, "board_size: board size must be <= 255"),
+    ):
+        cfg = write(tmp_path, "run.cfg", f"board_size={size}\n")
+        assert run_cli(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert message in capsys.readouterr().err
 
 
 def test_simulate_unwritable_out_exits_3(tmp_path, monkeypatch):
@@ -261,8 +267,8 @@ def test_analyze_zero_match_trials_exits_2_before_training(
             assert f"{key} must be >= {least}" in capsys.readouterr().err
     # the board and the seat count are checked before training too
     for text, message in (
-        ("match_players=5", "player count must be in 1..4, got 5"),
-        ("board_size=1", "board size must be >= 2, got 1"),
+        ("match_players=5", "match_players: player count must be in 1..4, got 5"),
+        ("board_size=1", "board_size: board size must be >= 2, got 1"),
     ):
         cfg = write(tmp_path, "an.cfg", text + "\n")
         code = run_cli(["analyze", "--config", cfg, "--out", str(tmp_path)])

@@ -1,6 +1,7 @@
 """Run-level checks: the GameState replay (conftest.replay_against_oracle)
-on fixed and generated runs, each run-level rule an input to it; plus
-the rows a table holds and the turns of a forced-defer cycle."""
+on fixed and generated runs, each run-level rule an input to it, the
+paths of run_game's own replay of periods included; plus the rows a
+table holds and the turns of a forced-defer cycle."""
 
 import warnings
 
@@ -125,3 +126,72 @@ def oracle_runs(draw):
 def test_generated_runs_match_gamestate_oracle(run, seed):
     cfg, tables, frozen_eps = run
     replay_against_oracle(cfg, seed, tables, frozen_eps)
+
+
+# --- run_game's replay of periods that changed nothing ---------------------------
+
+
+def sovereign_pair(**kw):
+    """Two hq seats on 3x3 whose exploration fades within the run, so
+    that their play settles into the sovereign steady state."""
+    return hql_cfg(**{
+        **dict(size=3, total_steps=3_000, bin_size=3_000, agent_kinds=(H, H),
+               hp=Hyperparams(eps_decay=0.99)),
+        **kw,
+    })
+
+
+def frozen_base_pair():
+    """A plain Q pair trained on 3x3 in the base game, and the config its
+    frozen play runs in."""
+    cfg = sovereign_pair(agent_kinds=(Q, Q), variant=Variant.BASE)
+    return cfg, run_game(cfg, 3, keep_tables=True).tables
+
+
+def test_replay_of_the_sovereign_fixed_point(replay_log):
+    """Learning hq seats reach a vote cycle that changes no value: it
+    replays at lag 1, one cycle of 3 steps, and each table is handed the
+    period's writes, which the oracle checks one by one."""
+    result, _ = replay_against_oracle(sovereign_pair(), 3)
+    assert {length for *_, length in replay_log.periods} == {3}
+    assert sum(times * n for _, times, n in replay_log.periods) > 2_000
+    assert all(table.repeats > 0 for table in result.tables)
+
+
+def test_replay_of_the_frozen_base_orbit(replay_log):
+    """Two frozen greedy seats in the base game settle into an orbit of
+    two keys at the top of seat 0's turn: it replays at lag 2, two cycles
+    of 2 steps, with no table written."""
+    cfg, tables = frozen_base_pair()
+    result, _ = replay_against_oracle(cfg, 13, tables, [0.0, 0.0])
+    assert {length for *_, length in replay_log.periods} == {4}
+    assert sum(times * n for _, times, n in replay_log.periods) > 2_000
+    assert all(not table.write_log for table in result.tables)
+
+
+def test_replay_stops_at_an_explored_move(replay_log):
+    """At eps 0.05 a replay draws moves off the greedy choices: the draws
+    made so far are played as drawn, and play goes on from there."""
+    cfg, tables = frozen_base_pair()
+    replay_against_oracle(cfg, 13, tables, [0.05, 0.05])
+    assert replay_log.periods
+    assert any(action not in greedy for _, greedy, action in replay_log.draws)
+
+
+def test_replay_stops_at_a_failed_vote(replay_log):
+    """A replay draws a ballot other than the recorded DEFER; with two
+    seats that vote fails, and learning goes on from it."""
+    replay_against_oracle(sovereign_pair(), 2)
+    assert replay_log.periods
+    assert any(
+        list(greedy) == [Action.DEFER] and action is not Action.DEFER
+        for _, greedy, action in replay_log.draws
+    )
+
+
+def test_replay_stops_at_a_bin_boundary(replay_log):
+    """Bins of 100 steps cut the 3-step period: each bin replays the
+    periods that fit in it and plays the rest."""
+    replay_against_oracle(sovereign_pair(bin_size=100), 3)
+    assert {length for *_, length in replay_log.periods} == {3}
+    assert len({start for start, *_ in replay_log.periods}) > 10

@@ -46,12 +46,12 @@ def count_reads(cfg: RunConfig, seed: int) -> list[tuple[int, ...]]:
     selections, at_row, at_bcast = [0] * p, [0] * p, [0] * p
     select, broadcast = experiment.select_action, experiment.ola_broadcast
 
-    def counting_select(q, key, legal, eps, rng):
+    def counting_select(q, key, legal, eps, rng, greedy=None):
         i = seat_of[id(q)]
         selections[i] += 1
         at_row[i] += key in q.rows
         at_bcast[i] += key in written[i]
-        return select(q, key, legal, eps, rng)
+        return select(q, key, legal, eps, rng, greedy)
 
     def recording_broadcast(recv, key, cells, action, delta, mover, hp):
         recorders = [
