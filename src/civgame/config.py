@@ -14,7 +14,7 @@ from typing import Any, Callable
 from .agents import AgentKind, Hyperparams
 from .experiment import RunConfig, Variant
 from .game import RewardConfig, check_board_size, check_players
-from .matrix import AnalysisConfig
+from .matrix import AnalysisConfig, check_match_players
 
 
 class ConfigError(ValueError):
@@ -170,7 +170,7 @@ class ResolvedConfig:
     def analysis_config(self) -> AnalysisConfig:
         s = self.settings
         # AnalysisConfig checks both again, in messages without the key
-        _check_key(s, "match_players", check_players)
+        _check_key(s, "match_players", check_match_players)
         _check_key(s, "board_size", check_board_size)
         return AnalysisConfig(
             size=s["board_size"],

@@ -375,8 +375,10 @@ def _counters(b: MetricsBin, rewards: list[int], invasions: list[int]) -> tuple:
 
 @dataclass
 class _Period:
-    """A stretch of play from a cycle top back to a top with the same
-    key, in which no table write changed a value.
+    """A recorded stretch of play from a cycle top back to a top with the
+    same key. It is played again only while the learners' count of value
+    changes is `changes`, the count where it began: then its rows read
+    as they did, and its writes change nothing.
 
     `decisions` holds, in draw order, each decision's step offset and
     select_action arguments (the seat's table, the key, the legal set,
@@ -387,7 +389,7 @@ class _Period:
     """
 
     key: bytes
-    changes: int  # the learners' value changes when it was recorded
+    changes: int
     length: int
     decisions: list[tuple]
     added: tuple
@@ -420,7 +422,8 @@ class _Replay:
     state, lag 2 the orbit of two frozen seats in the base game), with
     no value changed by the learners over the last lag cycles. It is
     kept if play came back to its key after lag cycles, within one bin,
-    with no value changed (see _Period).
+    and plays again only while no value has changed since it began (see
+    _Period).
 
     At a top the key fixes the rest of the loop's state (the cells, the
     territory counts and the legal sets; the forced count is 0). While

@@ -24,7 +24,7 @@ from .experiment import (
     stream_seed,
     write_csv,
 )
-from .game import RewardConfig, initial_state
+from .game import RewardConfig, check_board_size, check_players
 
 
 class PolicyClassificationError(ValueError):
@@ -49,6 +49,13 @@ class DilemmaClass(Enum):
 
 # The fewest moves an invasion rate is measured over.
 MIN_MOVES = 100
+
+
+def check_match_players(players: int) -> None:
+    """Raise ValueError unless a matchup can seat this many players."""
+    if players < 2:
+        raise ValueError("matchups need at least 2 players")
+    check_players(players)
 
 
 def alpha_from_counts(invasions: int, moves: int) -> float:
@@ -129,9 +136,8 @@ class AnalysisConfig:
     workers: int = RunConfig.workers
 
     def __post_init__(self) -> None:
-        if self.players < 2:
-            raise ValueError("matchups need at least 2 players")
-        initial_state(self.size, self.players)  # board size and seat range
+        check_match_players(self.players)
+        check_board_size(self.size)
         for name in (
             "train_steps", "defect_train_steps", "match_steps",
             "match_trials", "workers",

@@ -268,6 +268,7 @@ def test_analyze_zero_match_trials_exits_2_before_training(
     # the board and the seat count are checked before training too
     for text, message in (
         ("match_players=5", "match_players: player count must be in 1..4, got 5"),
+        ("match_players=1", "match_players: matchups need at least 2 players"),
         ("board_size=1", "board_size: board size must be >= 2, got 1"),
     ):
         cfg = write(tmp_path, "an.cfg", text + "\n")

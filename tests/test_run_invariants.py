@@ -131,9 +131,9 @@ def test_generated_runs_match_gamestate_oracle(run, seed):
 # --- run_game's replay of periods that changed nothing ---------------------------
 
 
-def sovereign_pair(**kw):
-    """Two hq seats on 3x3 whose exploration fades within the run, so
-    that their play settles into the sovereign steady state."""
+def settling_pair(**kw):
+    """Two seats on 3x3, hq in the sovereign game unless given, whose
+    exploration fades within the run, so that their play settles."""
     return hql_cfg(**{
         **dict(size=3, total_steps=3_000, bin_size=3_000, agent_kinds=(H, H),
                hp=Hyperparams(eps_decay=0.99)),
@@ -144,7 +144,7 @@ def sovereign_pair(**kw):
 def frozen_base_pair():
     """A plain Q pair trained on 3x3 in the base game, and the config its
     frozen play runs in."""
-    cfg = sovereign_pair(agent_kinds=(Q, Q), variant=Variant.BASE)
+    cfg = settling_pair(agent_kinds=(Q, Q), variant=Variant.BASE)
     return cfg, run_game(cfg, 3, keep_tables=True).tables
 
 
@@ -152,7 +152,7 @@ def test_replay_of_the_sovereign_fixed_point(replay_log):
     """Learning hq seats reach a vote cycle that changes no value: it
     replays at lag 1, one cycle of 3 steps, and each table is handed the
     period's writes, which the oracle checks one by one."""
-    result, _ = replay_against_oracle(sovereign_pair(), 3)
+    result, _ = replay_against_oracle(settling_pair(), 3)
     assert {length for *_, length in replay_log.periods} == {3}
     assert sum(times * n for _, times, n in replay_log.periods) > 2_000
     assert all(table.repeats > 0 for table in result.tables)
@@ -181,7 +181,7 @@ def test_replay_stops_at_an_explored_move(replay_log):
 def test_replay_stops_at_a_failed_vote(replay_log):
     """A replay draws a ballot other than the recorded DEFER; with two
     seats that vote fails, and learning goes on from it."""
-    replay_against_oracle(sovereign_pair(), 2)
+    replay_against_oracle(settling_pair(), 2)
     assert replay_log.periods
     assert any(
         list(greedy) == [Action.DEFER] and action is not Action.DEFER
@@ -192,6 +192,6 @@ def test_replay_stops_at_a_failed_vote(replay_log):
 def test_replay_stops_at_a_bin_boundary(replay_log):
     """Bins of 100 steps cut the 3-step period: each bin replays the
     periods that fit in it and plays the rest."""
-    replay_against_oracle(sovereign_pair(bin_size=100), 3)
+    replay_against_oracle(settling_pair(bin_size=100), 3)
     assert {length for *_, length in replay_log.periods} == {3}
     assert len({start for start, *_ in replay_log.periods}) > 10

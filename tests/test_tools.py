@@ -25,3 +25,20 @@ def test_broadcast_reads_runs():
     # two variants, one seed, four seats
     assert len(rows) == 8
     assert all(len(row.split(",")) == 8 for row in rows)
+
+
+def test_replay_share_runs():
+    proc = subprocess.run(
+        [sys.executable, "tools/replay_share.py", "--seed", "1", "--divide", "50"],
+        cwd=ROOT, env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    header, *rows = proc.stdout.splitlines()
+    assert header == "run,steps,replayed,share"
+    # both policies' training and evaluation, four seatings, one trial
+    assert [row.split(",")[0] for row in rows] == [
+        "hq_train", "hq_eval", "q_train", "q_eval",
+        "cc", "dd", "cd", "dc", "sim_sovereign_hq",
+    ]
+    assert all(len(row.split(",")) == 4 for row in rows)
