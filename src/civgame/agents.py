@@ -60,7 +60,9 @@ class QTable:
     row sees all zeros and leaves the table as it is.
     Unreinforced entries are therefore exact ties, and the uniform
     tie-breaking in select_action keeps unlearned choices stochastic.
-    `writes` counts the writes and `changes` those that changed a value.
+    `blend` is the only writer. `writes` counts the writes and `changes`
+    those that changed a value; a period that run_game replays changes
+    no value, so it only adds its count of writes to `writes`.
     """
 
     def __init__(self) -> None:
@@ -82,14 +84,6 @@ class QTable:
         # tiny alpha underflows it, and then (1 - alpha) * old is old
         if new != old:
             self.changes += 1
-
-    def repeat_writes(
-        self, writes: Sequence[tuple[bytes, Action, float]], times: int
-    ) -> None:
-        """Make the (key, action, delta) blends of `writes` again, in
-        order, `times` over, where each is known to leave its value as it
-        is: only the count of writes changes."""
-        self.writes += len(writes) * times
 
     def __len__(self) -> int:
         return len(self.rows)

@@ -223,11 +223,10 @@ def run_game(
         return acts or [Action.STAY]
 
     eps0, decay = hp.eps0, hp.eps_decay
-    replay = _Replay(tables, recv_tables, learns, frozen, rngs, eps0, decay,
-                     cycle)
-    # the tables that the loop writes through, recorders while _Replay
-    # records a period; slow while it records or holds drawn decisions
-    update_tables, recv, slow = replay.tables, replay.recv, replay.slow
+    learners = [t for t, learn in zip(tables, learns) if learn]
+    replay = _Replay(tables, learners, frozen, rngs, eps0, decay, cycle)
+    # slow while _Replay records a period or holds drawn decisions
+    slow = replay.slow
     top1 = top2 = b""  # the keys at the last two cycle tops
     defer, stay = Action.DEFER, Action.STAY
     vote_bonus, vote_penalty = rc.vote_bonus, rc.vote_penalty
@@ -245,8 +244,7 @@ def run_game(
                                    invasions_per_player)
                     if t == end:
                         break
-                    update_tables, recv, slow = (
-                        replay.tables, replay.recv, replay.slow)
+                    slow = replay.slow
                 top1, top2 = key, top1
                 b.invasions += sum(k[invaded_at:move_at])
             eps = eps0 * decay**t  # epsilon_at(t, hp)
@@ -275,7 +273,7 @@ def run_game(
                         vote_bonus if success else vote_penalty if duped else 0
                     )
                     if hq[i] and (success or duped):
-                        q_update(update_tables[i], key, defer, payout, next_key,
+                        q_update(tables[i], key, defer, payout, next_key,
                                  legal, hp)
                     counts[i][ballot] += 1
                     rewards_per_player[i] += payout
@@ -330,12 +328,12 @@ def run_game(
                 legal = [defer] if forced else legal_of(move)
 
             if learns[i]:
-                delta = q_update(update_tables[i], key, action, r, next_key,
+                delta = q_update(tables[i], key, action, r, next_key,
                                  legal, hp)
                 if hq[i]:
                     # the broadcast reads the cells of the pre-move key
                     pos[i] = loc
-                    ola_broadcast(recv, key, pos, action, delta, i, hp)
+                    ola_broadcast(recv_tables, key, pos, action, delta, i, hp)
                     pos[i] = dest
 
             rewards_per_player[i] += r
@@ -353,24 +351,14 @@ def run_game(
     )
 
 
-class _Recorder:
-    """A learner's table while _Replay records a period: each write is
-    made on the table and noted as (key, action, delta)."""
-
-    def __init__(self, table: QTable):
-        self.table, self.rows = table, table.rows
-        self.writes: list[tuple[bytes, Action, float]] = []
-
-    def blend(self, key: bytes, action: Action, delta: float, alpha: float) -> None:
-        self.writes.append((key, action, delta))
-        self.table.blend(key, action, delta, alpha)
-
-
-def _counters(b: MetricsBin, rewards: list[int], invasions: list[int]) -> tuple:
+def _counters(b: MetricsBin, rewards: list[int], invasions: list[int],
+              learners: list[QTable]) -> tuple:
     """A copy of every counter that play adds to: the bin's sums and
-    action counts, and each seat's reward and invasions."""
+    action counts, each seat's reward and invasions, and each learner's
+    count of writes."""
     return (b.cs_sum, b.invasions, b.successful_defers,
-            [row[:] for row in b.action_counts], rewards[:], invasions[:])
+            [row[:] for row in b.action_counts], rewards[:], invasions[:],
+            [t.writes for t in learners])
 
 
 @dataclass
@@ -385,7 +373,8 @@ class _Period:
     its frozen eps or None for the schedule's, its stream and the greedy
     choices, None for a seat without a table), then the action drawn.
     The rest is what the stretch added: `added` is _counters' difference
-    over it, and `writes` each learner's table with its writes.
+    over it, but for the writes, and `writes` each learner's table with
+    its count of writes.
     """
 
     key: bytes
@@ -393,11 +382,12 @@ class _Period:
     length: int
     decisions: list[tuple]
     added: tuple
-    writes: list[tuple[QTable, list]]
+    writes: list[tuple[QTable, int]]
 
     def add_to(self, times: int, b: MetricsBin, rewards: list[int],
                invasions: list[int]) -> None:
-        """Add what the stretch added, `times` over."""
+        """Add what the stretch added, `times` over. A write that changes
+        nothing leaves only its count."""
         cs_sum, invaded, defers, counts, seat_rewards, seat_invasions = self.added
         b.cs_sum += times * cs_sum
         b.invasions += times * invaded
@@ -408,8 +398,8 @@ class _Period:
         for i, (r, n) in enumerate(zip(seat_rewards, seat_invasions)):
             rewards[i] += times * r
             invasions[i] += times * n
-        for table, writes in self.writes:
-            table.repeat_writes(writes, times)
+        for table, n in self.writes:
+            table.writes += times * n
 
 
 class _Replay:
@@ -435,14 +425,10 @@ class _Replay:
     the seats take the decisions drawn so far (`decide`).
     """
 
-    def __init__(self, tables, recv_tables, learns, frozen, rngs, eps0, decay,
-                 cycle):
-        self.base_tables, self.base_recv = tables, recv_tables
-        self.learns, self.frozen, self.rngs = learns, frozen, rngs
+    def __init__(self, tables, learners, frozen, rngs, eps0, decay, cycle):
+        self.tables, self.learners = tables, learners
+        self.frozen, self.rngs = frozen, rngs
         self.eps0, self.decay, self.cycle = eps0, decay, cycle
-        self.learners = [t for t, learn in zip(tables, learns) if learn]
-        # what the loop writes through: recorders while recording
-        self.tables, self.recv = tables, self.base_recv
         # whether the loop's decisions must go through `decide`
         self.slow = False
         # (key, value changes, step) at the last two tops whose key was
@@ -452,7 +438,6 @@ class _Replay:
         self.record: list[tuple] | None = None  # (t, seat, key, legal, action)
         self.record_end = 0
         self.start: tuple = ()  # the recording's first top and counters
-        self.recorders: list[_Recorder | None] = []
         self.queued: list[Action] = []  # drawn by a replay, not yet played
 
     def changes(self) -> int:
@@ -467,7 +452,7 @@ class _Replay:
             action = self.queued.pop(0)
         else:
             e = self.frozen[i]
-            action = select_action(self.base_tables[i], key, legal,
+            action = select_action(self.tables[i], key, legal,
                                    eps if e is None else e, self.rngs[i])
         if self.record is not None:
             self.record.append((t, i, key, legal, action))
@@ -494,54 +479,38 @@ class _Replay:
         elif lag:
             changes = self.changes()
             if (key, changes, t - lag * self.cycle) in self.repeats:
-                self._start(t, lag, key, changes, b, rewards, invasions)
+                self.record = []
+                self.record_end = t + lag * self.cycle
+                self.start = (t, key, changes, b, _counters(
+                    b, rewards, invasions, self.learners))
             self.repeats.append((key, changes, t))
         self.slow = bool(self.queued) or self.record is not None
         return t
 
-    def _start(self, t, lag, key, changes, b, rewards, invasions) -> None:
-        self.record = []
-        self.record_end = t + lag * self.cycle
-        self.start = (t, key, changes, b, _counters(b, rewards, invasions))
-        self.recorders = [
-            _Recorder(table) if learn else None
-            for table, learn in zip(self.base_tables, self.learns)
-        ]
-        self.tables = [
-            table if r is None else r
-            for table, r in zip(self.base_tables, self.recorders)
-        ]
-        self.recv = [
-            None if table is None else r
-            for table, r in zip(self.base_recv, self.recorders)
-        ]
-
     def _finish(self, t, key, rewards, invasions) -> None:
         record, self.record = self.record, None
-        self.tables, self.recv = self.base_tables, self.base_recv
         # a value changed since the start stops it at its first replay
         t0, key0, changes, b, before = self.start
         if key != key0 or t > b.bin_start + b.bin_size:
             return
         decisions = []
         for tj, i, kj, legal, action in record:
-            table = self.base_tables[i]
+            table = self.tables[i]
             greedy = None if table is None else greedy_actions(table, kj, legal)
             decisions.append((tj - t0, table, kj, legal, self.frozen[i],
                               self.rngs[i], greedy, action))
-        cs0, inv0, sd0, counts0, rw0, iv0 = before
-        cs1, inv1, sd1, counts1, rw1, iv1 = _counters(b, rewards, invasions)
+        cs0, inv0, sd0, counts0, rw0, iv0, w0 = before
+        cs1, inv1, sd1, counts1, rw1, iv1, w1 = _counters(
+            b, rewards, invasions, self.learners)
         added = (
             cs1 - cs0, inv1 - inv0, sd1 - sd0,
             [[y - x for x, y in zip(r0, r1)] for r0, r1 in zip(counts0, counts1)],
             [y - x for x, y in zip(rw0, rw1)],
             [y - x for x, y in zip(iv0, iv1)],
         )
-        self.period = _Period(
-            key, changes, t - t0, decisions, added,
-            [(r.table, r.writes) for r in self.recorders
-             if r is not None and r.writes],
-        )
+        writes = [(table, y - x)
+                  for table, x, y in zip(self.learners, w0, w1)]
+        self.period = _Period(key, changes, t - t0, decisions, added, writes)
 
     def _replay(self, t, end, b, rewards, invasions) -> int:
         period = self.period

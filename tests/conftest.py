@@ -131,32 +131,22 @@ def to_naive(state: GameState):
 
 
 class LoggingQTable(QTable):
-    """A QTable that records every learning write.
+    """A QTable that records every learning write made through `blend`.
 
     `write_log` gets (key, action, old, new, delta) for each `blend`,
     with the value before and after the write. A replayed period makes
-    its writes again through `repeat_writes`: each is logged in order
-    with the value it finds as both old and new, so the replay oracle
-    checks that it changes nothing. `repeats` counts those calls.
+    no blend: it only adds its count of writes to `writes`, so `writes`
+    exceeds len(write_log) once a period was replayed.
     """
 
     def __init__(self) -> None:
         super().__init__()
         self.write_log: list = []
-        self.repeats = 0
 
     def blend(self, key, action, delta, alpha):
         old = self.rows.get(key, (0.0,) * len(Action))[action]
         super().blend(key, action, delta, alpha)
         self.write_log.append((key, action, old, self.rows[key][action], delta))
-
-    def repeat_writes(self, writes, times):
-        super().repeat_writes(writes, times)
-        self.repeats += 1
-        for _ in range(times):
-            for key, action, delta in writes:
-                value = self.rows[key][action]
-                self.write_log.append((key, action, value, value, delta))
 
 
 def randrange_select(rows, key, legal, eps, rng):
@@ -203,10 +193,13 @@ def replay_against_oracle(cfg, seed, tables=None, frozen_eps=None):
     Bellman update at the step's key, with the max taken over the legal
     set the rules give at the next state; one broadcast write per
     receiving observer at the "in their shoes" key with the mover's
-    delta; and the vote updates. Frozen seats write nothing. The bins
-    and per-seat totals folded here from reward, is_invasion,
-    sovereign_reward and the invaded flags at each cycle boundary must
-    equal run_game's.
+    delta; and the vote updates. Each is the next write logged, with
+    the same old and new values, or, if run_game replayed it, a write
+    that leaves its value as it is, and then only counted; the logged
+    and the counted writes must add up to the table's `writes`. Frozen
+    seats write nothing. The bins and per-seat totals folded here from
+    reward, is_invasion, sovereign_reward and the invaded flags at each
+    cycle boundary must equal run_game's.
 
     Returns run_game's result, its tables kept, and the steps played.
     """
@@ -236,7 +229,8 @@ def replay_against_oracle(cfg, seed, tables=None, frozen_eps=None):
         for kind, eps in zip(kinds, frozen)
     ]
     hq = [learn and kind is AgentKind.HQLEARNER for learn, kind in zip(learns, kinds)]
-    cursor = [0] * p
+    cursor = [0] * p  # the logged writes consumed
+    replayed = [0] * p  # the writes made by a replayed period
     rngs = [agent_rng(seed, i) for i in range(p)]
 
     def value(i, key, action):
@@ -247,13 +241,18 @@ def replay_against_oracle(cfg, seed, tables=None, frozen_eps=None):
         return randrange_select(shadow[i], key, legal, eps, rngs[i])
 
     def check_write(i, key, action, delta):
-        """Consume seat i's next write, which must be this one."""
-        w_key, w_action, old, new, w_delta = tables[i].write_log[cursor[i]]
-        cursor[i] += 1
-        assert (w_key, w_action, w_delta) == (key, action, delta)
-        assert old == value(i, key, action)
-        assert new == (1 - hp.alpha) * old + w_delta
-        shadow[i].setdefault(key, [0.0] * len(Action))[action] = new
+        """Consume seat i's next logged write if it is this one; else
+        count it as replayed, which it can be only if it changes
+        nothing."""
+        old = value(i, key, action)
+        new = (1 - hp.alpha) * old + delta
+        log = tables[i].write_log
+        if cursor[i] < len(log) and log[cursor[i]] == (key, action, old, new, delta):
+            cursor[i] += 1
+            shadow[i].setdefault(key, [0.0] * len(Action))[action] = new
+        else:
+            assert new == old
+            replayed[i] += 1
 
     def bellman(i, r, next_key, legal_next):
         best = max(value(i, next_key, a) for a in legal_next)
@@ -325,8 +324,9 @@ def replay_against_oracle(cfg, seed, tables=None, frozen_eps=None):
                     o_key = encode_state(ola_state(pre_state, i, mover))
                     check_write(i, o_key, action, delta)
     for i, table in enumerate(tables):
-        if table is not None:
-            assert cursor[i] == len(table.write_log)  # no write unaccounted for
+        if table is not None:  # no write unaccounted for
+            assert cursor[i] == len(table.write_log)
+            assert table.writes == cursor[i] + replayed[i]
     assert result.bins == bins
     assert result.rewards_per_player == rewards
     assert result.invasions_per_player == invasions

@@ -150,12 +150,13 @@ def frozen_base_pair():
 
 def test_replay_of_the_sovereign_fixed_point(replay_log):
     """Learning hq seats reach a vote cycle that changes no value: it
-    replays at lag 1, one cycle of 3 steps, and each table is handed the
-    period's writes, which the oracle checks one by one."""
+    replays at lag 1, one cycle of 3 steps, and each table counts the
+    period's writes without making them, which the oracle checks against
+    the writes it makes itself."""
     result, _ = replay_against_oracle(settling_pair(), 3)
     assert {length for *_, length in replay_log.periods} == {3}
     assert sum(times * n for _, times, n in replay_log.periods) > 2_000
-    assert all(table.repeats > 0 for table in result.tables)
+    assert all(t.writes > len(t.write_log) for t in result.tables)
 
 
 def test_replay_of_the_frozen_base_orbit(replay_log):
@@ -195,3 +196,16 @@ def test_replay_stops_at_a_bin_boundary(replay_log):
     replay_against_oracle(settling_pair(bin_size=100), 3)
     assert {length for *_, length in replay_log.periods} == {3}
     assert len({start for start, *_ in replay_log.periods}) > 10
+
+
+def test_replay_of_a_learner_beside_a_frozen_seat(replay_log):
+    """Seat 0 goes on learning from its trained table while seat 1 plays
+    frozen at eps 0: the period's learners are only seat 0, whose table
+    counts the replayed writes, and the frozen table writes nothing."""
+    cfg = settling_pair()
+    tables = run_game(cfg, 3, keep_tables=True).tables
+    result, _ = replay_against_oracle(cfg, 5, tables, [None, 0.0])
+    assert replay_log.periods
+    learner, frozen = result.tables
+    assert learner.writes > len(learner.write_log)
+    assert frozen.writes == 0 and not frozen.write_log

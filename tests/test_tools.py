@@ -35,10 +35,11 @@ def test_replay_share_runs():
     )
     assert proc.returncode == 0, proc.stderr
     header, *rows = proc.stdout.splitlines()
-    assert header == "run,steps,replayed,share"
+    assert header == "run,steps,replayed,share,replay_cpu"
     # both policies' training and evaluation, four seatings, one trial
+    # each of sim_sovereign_hq and the simulate defaults
     assert [row.split(",")[0] for row in rows] == [
         "hq_train", "hq_eval", "q_train", "q_eval",
-        "cc", "dd", "cd", "dc", "sim_sovereign_hq",
+        "cc", "dd", "cd", "dc", "sim_sovereign_hq", "simulate_default",
     ]
-    assert all(len(row.split(",")) == 4 for row in rows)
+    assert all(len(row.split(",")) == 5 for row in rows)
