@@ -14,6 +14,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 from enum import Enum
+from itertools import compress, repeat
+from operator import eq
 from typing import Sequence
 
 from .game import BOARD_OFFSET, Action, GameState, key_offsets, occupied_cell
@@ -96,11 +98,17 @@ def greedy_actions(
     `legal`. Only reads the table: at a key without a row every legal
     action ties."""
     row = q.rows.get(key)
-    if row is None:
-        return legal
-    values = [row[a] for a in legal]
+    return legal if row is None else _best(row, legal)
+
+
+def _best(row: list[float], legal: Sequence[Action]) -> Sequence[Action]:
+    """The tie rule: the legal actions of highest value in `row`, in the
+    order of `legal`."""
+    values = list(map(row.__getitem__, legal))
     best = max(values)
-    return [a for a, v in zip(legal, values) if v == best]
+    if values.count(best) == 1:
+        return (legal[values.index(best)],)
+    return list(compress(legal, map(eq, values, repeat(best))))
 
 
 def select_action(
@@ -129,7 +137,11 @@ def select_action(
     if q is None or rng.random() < eps:
         choices = legal
     else:
-        choices = greedy_actions(q, key, legal) if greedy is None else greedy
+        if greedy is None:
+            # greedy_actions(q, key, legal), with the row read once
+            row = q.rows.get(key)
+            greedy = legal if row is None else _best(row, legal)
+        choices = greedy
         if len(choices) == 1:
             return choices[0]
     n = len(choices)
@@ -155,7 +167,7 @@ def q_update(
     The max ranges over `legal_next`; a next key without a row reads as 0.
     """
     row = q.rows.get(s_next_key)
-    best = 0.0 if row is None else max([row[a] for a in legal_next])
+    best = 0.0 if row is None else max(map(row.__getitem__, legal_next))
     alpha = hp.alpha
     delta = alpha * (r + hp.gamma * best)
     q.blend(s_key, action, delta, alpha)
@@ -219,12 +231,10 @@ def ola_broadcast(
         swapped[mover_flag_at] = flag
         swapped[move_at] = i
         table.blend(bytes(swapped), action, delta, alpha)
-        # back to the pre-move key for the next observer; the move byte
-        # is set anew each time
+        # back to the pre-move bytes at the observer's cell and flag; the
+        # mover's bytes and the move byte are set anew for each observer
         swapped[at] = cell
-        swapped[mover_at] = mover_cell
         swapped[flag_at] = flag
-        swapped[mover_flag_at] = mover_flag
 
 
 def dump_qtable(q: QTable) -> str:

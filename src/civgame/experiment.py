@@ -37,6 +37,7 @@ from .game import (
     encode_state,
     initial_state,
     key_offsets,
+    legal_tables,
     neighbours,
     occupied_cell,
     territory_cell,
@@ -165,9 +166,10 @@ def run_game(
     in a replayed period it hands over the greedy choices recorded.
 
     The loop's state is the encode_state key itself, a bytearray edited
-    in place, plus each seat's cell and territory count, the number of
-    forced-defer turns left, and the period that _Replay recorded to play
-    again. Each seat's cell also hands ola_broadcast the positions in
+    in place, plus each seat's cell and territory count, the occupancy
+    mask that selects each seat's legal set from legal_tables, the number
+    of forced-defer turns left, and the period that _Replay recorded to
+    play again. Each seat's cell also hands ola_broadcast the positions in
     the pre-move key. It plays by the rules that transition,
     sovereign_transition, reward and is_invasion define on GameState;
     the tests play each run again through those functions and compare
@@ -197,6 +199,12 @@ def run_game(
     board_at = BOARD_OFFSET
     nbrs = neighbours(cfg.size)
     pos = list(corner_cells(cfg.size, p))  # each seat's cell
+    occ = 0  # bit c set while a seat stands on cell c
+    for c in pos:
+        occ |= 1 << c
+    # legal_at[c][occ & nbr_mask[c]] is legal_actions for a seat on c,
+    # ballot_at the same with DEFER appended
+    nbr_mask, legal_at, ballot_at = legal_tables(cfg.size)
     terr = [0] * p  # territory cells per seat
     terr0, occ0 = territory_cell(0), occupied_cell(0)
     cycle = p + 1 if sovereign else p  # move values, the vote move included
@@ -214,14 +222,6 @@ def run_game(
     rewards_per_player = [0] * p
     invasions_per_player = [0] * p
 
-    # per cell, each on-board movement and the key offset of its destination
-    steps = [tuple((a, board_at + d) for a, d in nb.items()) for nb in nbrs]
-
-    def legal_of(i: int) -> list[Action]:
-        """legal_actions for seat i, read off the key bytes."""
-        acts = [a for a, at in steps[pos[i]] if k[at] < occ0]
-        return acts or [Action.STAY]
-
     eps0, decay = hp.eps0, hp.eps_decay
     learners = [t for t, learn in zip(tables, learns) if learn]
     replay = _Replay(tables, learners, frozen, rngs, eps0, decay, cycle)
@@ -229,9 +229,11 @@ def run_game(
     slow = replay.slow
     top1 = top2 = b""  # the keys at the last two cycle tops
     defer, stay = Action.DEFER, Action.STAY
+    forced_set = (defer,)  # the legal set of a forced turn
     vote_bonus, vote_penalty = rc.vote_bonus, rc.vote_penalty
     move = 0
-    legal = legal_of(0)  # the legal set of the seat to move
+    c = pos[0]
+    legal = legal_at[c][occ & nbr_mask[c]]  # the legal set of the seat to move
     for b in bins:
         counts = b.action_counts
         t, end = b.bin_start, b.bin_start + b.bin_size
@@ -263,7 +265,11 @@ def run_game(
                 move = k[move_at] = 0
                 next_key = bytes(k)
                 forced = p if success else 0
-                legal = [defer] if success else legal_of(0)
+                if success:
+                    legal = forced_set
+                else:
+                    c = pos[0]
+                    legal = legal_at[c][occ & nbr_mask[c]]
                 for i, ballot in enumerate(ballots):
                     # on success every seat gets the bonus, on failure each
                     # duped defer voter the penalty; a sovereign-aware
@@ -312,6 +318,7 @@ def run_game(
                             k[invaded_at + owner] = 1
                     k[board_at + dest] = occ0 + i
                     k[board_at + loc] = terr0 + i
+                    occ ^= 1 << loc | 1 << dest
                     terr[i] += 1
                     pos[i] = dest
             k[invaded_at + i] = 0
@@ -322,10 +329,13 @@ def run_game(
             if move == p:
                 # every seat's ballot options at the coming vote; the
                 # mover's own are the max of its pre-vote update
-                ballot_options = [legal_of(j) + [defer] for j in range(p)]
+                ballot_options = [ballot_at[c][occ & nbr_mask[c]] for c in pos]
                 legal = ballot_options[i]
+            elif forced:
+                legal = forced_set
             else:
-                legal = [defer] if forced else legal_of(move)
+                c = pos[move]
+                legal = legal_at[c][occ & nbr_mask[c]]
 
             if learns[i]:
                 delta = q_update(tables[i], key, action, r, next_key,

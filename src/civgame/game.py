@@ -279,6 +279,40 @@ def neighbours(size: int) -> tuple[dict[Action, int], ...]:
     return tuple(dict(_moves(loc, size)) for loc in range(size * size))
 
 
+def legal_tables(size: int) -> tuple[
+    tuple[int, ...],
+    tuple[dict[int, tuple[Action, ...]], ...],
+    tuple[dict[int, tuple[Action, ...]], ...],
+]:
+    """legal_actions and the ballot as table lookups on an occupancy mask.
+
+    In an occupancy mask bit c is set while a seat stands on cell c.
+    Returns, per cell c, the mask of its neighbour cells, a dict from
+    each subset of that mask (the occupied neighbours) to the legal
+    tuple that legal_actions gives a seat on c, and the same dict with
+    DEFER appended to each tuple, the ballot of sovereign_legal_actions.
+    """
+    masks, legal, ballots = [], [], []
+    for dests in neighbours(size):
+        mask = 0
+        for dest in dests.values():
+            mask |= 1 << dest
+        table, ballot = {}, {}
+        occupied = mask
+        while True:  # every subset of mask, mask itself first
+            acts = tuple(a for a, dest in dests.items()
+                         if not occupied >> dest & 1) or (Action.STAY,)
+            table[occupied] = acts
+            ballot[occupied] = acts + (Action.DEFER,)
+            if not occupied:
+                break
+            occupied = (occupied - 1) & mask
+        masks.append(mask)
+        legal.append(table)
+        ballots.append(ballot)
+    return tuple(masks), tuple(legal), tuple(ballots)
+
+
 def encode_state(state: GameState) -> bytes:
     """Canonical injective byte encoding, stable across runs and platforms.
 

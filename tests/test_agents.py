@@ -159,6 +159,31 @@ def test_reads_never_add_rows():
     assert select_action(q, b"s", legal, 0.0, random.Random(0)) is Action.UP
 
 
+def test_no_row_read_keeps_the_draws():
+    """At a key without a row, select_action draws as at an explicit
+    all-zero row: with one legal action on exploit it takes rng.random()
+    once and no index, and for 1-5 legal actions it returns the same
+    action and leaves the stream in the same state."""
+    one = (Action.STAY,)
+    rng, once = random.Random(4), random.Random(4)
+    assert select_action(QTable(), b"unseen", one, 0.0, rng) is Action.STAY
+    once.random()
+    assert rng.getstate() == once.getstate()
+    moves = (Action.UP, Action.DOWN, Action.LEFT, Action.RIGHT, Action.DEFER)
+    zeros = QTable()
+    zeros.rows[b"unseen"] = [0.0] * 6
+    for n in range(1, 6):
+        legal = moves[:n]
+        for seed in range(20):
+            for eps in (0.0, 0.5):
+                rng_a, rng_b = random.Random(seed), random.Random(seed)
+                picks = [select_action(QTable(), b"unseen", legal, eps, rng_a)
+                         for _ in range(5)]
+                assert picks == [select_action(zeros, b"unseen", legal, eps, rng_b)
+                                 for _ in range(5)]
+                assert rng_a.getstate() == rng_b.getstate()
+
+
 # --- Bellman update -----------------------------------------------------------
 
 

@@ -14,6 +14,7 @@ from civgame.game import (
     encode_state,
     initial_state,
     legal_actions,
+    legal_tables,
     move_dest,
     neighbours,
     occupied_cell,
@@ -21,6 +22,7 @@ from civgame.game import (
     territory_cell,
     transition,
 )
+from civgame.sovereign import sovereign_legal_actions
 from conftest import enumerate_reachable
 
 
@@ -170,6 +172,34 @@ def test_stay_is_fallback_only():
     s = initial_state(4, 4)
     for player in range(4):
         assert Action.STAY not in legal_actions(s, player)
+
+
+@pytest.mark.parametrize("size", range(2, 7))
+def test_legal_tables_state_the_legality_rule(size):
+    """For every cell and every subset of its occupied neighbours, the
+    table's tuple is legal_actions on a state with those cells occupied,
+    and the ballot entry is sovereign_legal_actions at the vote. A state
+    with four occupied neighbours seats more than four players, so the
+    neighbours hold the codes of seats 1 to 3 in turn: legal_actions
+    reads only whether a neighbour is occupied."""
+    nbr_mask, legal_at, ballot_at = legal_tables(size)
+    for cell, dests in enumerate(neighbours(size)):
+        cells = list(dests.values())
+        assert nbr_mask[cell] == sum(1 << d for d in cells)
+        assert len(legal_at[cell]) == len(ballot_at[cell]) == 2 ** len(cells)
+        for subset in range(2 ** len(cells)):
+            occupied = [d for j, d in enumerate(cells) if subset >> j & 1]
+            mask = sum(1 << d for d in occupied)
+            board = bytearray(size * size)
+            board[cell] = occupied_cell(0)
+            for j, d in enumerate(occupied):
+                board[d] = occupied_cell(1 + j % 3)
+            state = GameState(bytes(board), (False,) * 4, 0, 0, size, 4)
+            legal, ballot = legal_at[cell][mask], ballot_at[cell][mask]
+            assert type(legal) is tuple and type(ballot) is tuple
+            assert list(legal) == legal_actions(state, 0)
+            vote = GameState(bytes(board), (False,) * 4, 4, 0, size, 4)
+            assert list(ballot) == sovereign_legal_actions(vote, 0, 0)
 
 
 # --- transition --------------------------------------------------------------

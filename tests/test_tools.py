@@ -37,9 +37,9 @@ def test_replay_share_runs():
     header, *rows = proc.stdout.splitlines()
     assert header == "run,steps,replayed,share,replay_cpu"
     # both policies' training and evaluation, four seatings, one trial
-    # each of sim_sovereign_hq and the simulate defaults
+    # each of sim_sovereign_hq, sim_base_q and the simulate defaults
     assert [row.split(",")[0] for row in rows] == [
-        "hq_train", "hq_eval", "q_train", "q_eval",
-        "cc", "dd", "cd", "dc", "sim_sovereign_hq", "simulate_default",
+        "hq_train", "hq_eval", "q_train", "q_eval", "cc", "dd", "cd", "dc",
+        "sim_sovereign_hq", "sim_base_q", "simulate_default",
     ]
     assert all(len(row.split(",")) == 5 for row in rows)

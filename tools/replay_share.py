@@ -3,8 +3,8 @@
 run_game replays a period of play that changed nothing (see
 civgame.experiment._Replay). This script runs analyze's training and
 evaluation of both policies, each of its four matchup seatings, one
-sim_sovereign_hq trial and one trial at RunConfig's defaults, and prints
-per run:
+sim_sovereign_hq trial, one sim_base_q trial and one trial at RunConfig's
+defaults, and prints per run:
 
 - steps: the steps the run took;
 - replayed: how many of them were replayed periods;
@@ -13,7 +13,9 @@ per run:
   which draws the decisions of each replayed period.
 
 The analyze runs use perfbench's analyze_frozen settings, the
-sim_sovereign_hq trial perfbench's settings, and simulate_default the
+sim_sovereign_hq and sim_base_q trials perfbench's settings (4 hq seats
+in the sovereign game for 40,000 steps, 4 plain-Q seats in the base game
+for 80,000 steps), and simulate_default the
 defaults of `civgame simulate`; --divide N divides every step count and
 bin size by N (rounded down; a simulate trial keeps its count of bins).
 It wraps, by module attribute, civgame.experiment's _Period.add_to,
@@ -94,6 +96,10 @@ def shares(seed: int, divide: int) -> list[tuple[str, int, int, float]]:
         "sim_sovereign_hq": trial(
             40_000, divide, agent_kinds=(AgentKind.HQLEARNER,) * 4,
             variant=Variant.SOVEREIGN, seed=seed,
+        ),
+        "sim_base_q": trial(
+            80_000, divide, agent_kinds=(AgentKind.QLEARNER,) * 4,
+            variant=Variant.BASE, seed=seed,
         ),
         "simulate_default": trial(RunConfig.total_steps, divide, seed=seed),
     }
