@@ -14,8 +14,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 from enum import Enum
-from itertools import compress, repeat
-from operator import eq
 from typing import Sequence
 
 from .game import BOARD_OFFSET, Action, GameState, key_offsets, occupied_cell
@@ -106,9 +104,12 @@ def _best(row: list[float], legal: Sequence[Action]) -> Sequence[Action]:
     order of `legal`."""
     values = list(map(row.__getitem__, legal))
     best = max(values)
-    if values.count(best) == 1:
-        return (legal[values.index(best)],)
-    return list(compress(legal, map(eq, values, repeat(best))))
+    i = values.index(best)
+    ties = [legal[i]]
+    for _ in range(values.count(best) - 1):
+        i = values.index(best, i + 1)
+        ties.append(legal[i])
+    return ties
 
 
 def select_action(

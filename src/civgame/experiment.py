@@ -199,11 +199,10 @@ def run_game(
     board_at = BOARD_OFFSET
     nbrs = neighbours(cfg.size)
     pos = list(corner_cells(cfg.size, p))  # each seat's cell
-    occ = 0  # bit c set while a seat stands on cell c
-    for c in pos:
-        occ |= 1 << c
-    # legal_at[c][occ & nbr_mask[c]] is legal_actions for a seat on c,
-    # ballot_at the same with DEFER appended
+    # bit c of occ is set while a seat stands on cell c; a seat on c has
+    # legal_at[c][occ & nbr_mask[c]] as its legal set and ballot_at[c][...]
+    # as its ballot options
+    occ = sum(1 << c for c in pos)
     nbr_mask, legal_at, ballot_at = legal_tables(cfg.size)
     terr = [0] * p  # territory cells per seat
     terr0, occ0 = territory_cell(0), occupied_cell(0)
