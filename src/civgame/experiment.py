@@ -200,10 +200,10 @@ def run_game(
     nbrs = neighbours(cfg.size)
     pos = list(corner_cells(cfg.size, p))  # each seat's cell
     # bit c of occ is set while a seat stands on cell c; a seat on c has
-    # legal_at[c][occ & nbr_mask[c]] as its legal set and ballot_at[c][...]
-    # as its ballot options
+    # legal_at[c][occ >> nbr_shift[c] & nbr_mask[c]] as its legal set and
+    # ballot_at[c][...] as its ballot options
     occ = sum(1 << c for c in pos)
-    nbr_mask, legal_at, ballot_at = legal_tables(cfg.size)
+    nbr_shift, nbr_mask, legal_at, ballot_at = legal_tables(cfg.size)
     terr = [0] * p  # territory cells per seat
     terr0, occ0 = territory_cell(0), occupied_cell(0)
     cycle = p + 1 if sovereign else p  # move values, the vote move included
@@ -231,8 +231,8 @@ def run_game(
     forced_set = (defer,)  # the legal set of a forced turn
     vote_bonus, vote_penalty = rc.vote_bonus, rc.vote_penalty
     move = 0
-    c = pos[0]
-    legal = legal_at[c][occ & nbr_mask[c]]  # the legal set of the seat to move
+    c = pos[0]  # the legal set of the seat to move:
+    legal = legal_at[c][occ >> nbr_shift[c] & nbr_mask[c]]
     for b in bins:
         counts = b.action_counts
         t, end = b.bin_start, b.bin_start + b.bin_size
@@ -268,7 +268,7 @@ def run_game(
                     legal = forced_set
                 else:
                     c = pos[0]
-                    legal = legal_at[c][occ & nbr_mask[c]]
+                    legal = legal_at[c][occ >> nbr_shift[c] & nbr_mask[c]]
                 for i, ballot in enumerate(ballots):
                     # on success every seat gets the bonus, on failure each
                     # duped defer voter the penalty; a sovereign-aware
@@ -328,13 +328,15 @@ def run_game(
             if move == p:
                 # every seat's ballot options at the coming vote; the
                 # mover's own are the max of its pre-vote update
-                ballot_options = [ballot_at[c][occ & nbr_mask[c]] for c in pos]
+                ballot_options = [
+                    ballot_at[c][occ >> nbr_shift[c] & nbr_mask[c]] for c in pos
+                ]
                 legal = ballot_options[i]
             elif forced:
                 legal = forced_set
             else:
                 c = pos[move]
-                legal = legal_at[c][occ & nbr_mask[c]]
+                legal = legal_at[c][occ >> nbr_shift[c] & nbr_mask[c]]
 
             if learns[i]:
                 delta = q_update(tables[i], key, action, r, next_key,

@@ -281,36 +281,48 @@ def neighbours(size: int) -> tuple[dict[Action, int], ...]:
 
 def legal_tables(size: int) -> tuple[
     tuple[int, ...],
+    tuple[int, ...],
     tuple[dict[int, tuple[Action, ...]], ...],
     tuple[dict[int, tuple[Action, ...]], ...],
 ]:
     """legal_actions and the ballot as table lookups on an occupancy mask.
 
     In an occupancy mask bit c is set while a seat stands on cell c.
-    Returns, per cell c, the mask of its neighbour cells, a dict from
-    each subset of that mask (the occupied neighbours) to the legal
-    tuple that legal_actions gives a seat on c, and the same dict with
-    DEFER appended to each tuple, the ballot of sovereign_legal_actions.
+    Returns, per cell c, a shift and a mask such that occ >> shift & mask
+    keeps the bits of c's neighbour cells, shifted down to c's lowest
+    neighbour; a dict from each such value (the occupied neighbours) to
+    the legal tuple that legal_actions gives a seat on c; and the same
+    dict with DEFER appended to each tuple, the ballot of
+    sovereign_legal_actions. Cells whose neighbours lie at the same
+    offsets (all inner cells, say) share one mask and one pair of dicts,
+    so the tables stay small on any board.
     """
-    masks, legal, ballots = [], [], []
+    shapes: dict[tuple, tuple] = {}  # (action, offset) pairs -> tables
+    shifts, masks, legal, ballots = [], [], [], []
     for dests in neighbours(size):
-        mask = 0
-        for dest in dests.values():
-            mask |= 1 << dest
-        table, ballot = {}, {}
-        occupied = mask
-        while True:  # every subset of mask, mask itself first
-            acts = tuple(a for a, dest in dests.items()
-                         if not occupied >> dest & 1) or (Action.STAY,)
-            table[occupied] = acts
-            ballot[occupied] = acts + (Action.DEFER,)
-            if not occupied:
-                break
-            occupied = (occupied - 1) & mask
+        shift = min(dests.values())
+        shape = tuple((a, dest - shift) for a, dest in dests.items())
+        if shape not in shapes:
+            mask = 0
+            for _, offset in shape:
+                mask |= 1 << offset
+            table, ballot = {}, {}
+            occupied = mask
+            while True:  # every subset of mask, mask itself first
+                acts = tuple(a for a, offset in shape
+                             if not occupied >> offset & 1) or (Action.STAY,)
+                table[occupied] = acts
+                ballot[occupied] = acts + (Action.DEFER,)
+                if not occupied:
+                    break
+                occupied = (occupied - 1) & mask
+            shapes[shape] = mask, table, ballot
+        mask, table, ballot = shapes[shape]
+        shifts.append(shift)
         masks.append(mask)
         legal.append(table)
         ballots.append(ballot)
-    return tuple(masks), tuple(legal), tuple(ballots)
+    return tuple(shifts), tuple(masks), tuple(legal), tuple(ballots)
 
 
 def encode_state(state: GameState) -> bytes:

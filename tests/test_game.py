@@ -178,18 +178,22 @@ def test_stay_is_fallback_only():
 def test_legal_tables_state_the_legality_rule(size):
     """For every cell and every subset of its occupied neighbours, the
     table's tuple is legal_actions on a state with those cells occupied,
-    and the ballot entry is sovereign_legal_actions at the vote. A state
-    with four occupied neighbours seats more than four players, so the
-    neighbours hold the codes of seats 1 to 3 in turn: legal_actions
-    reads only whether a neighbour is occupied."""
-    nbr_mask, legal_at, ballot_at = legal_tables(size)
+    and the ballot entry is sovereign_legal_actions at the vote. Every
+    cell that is not a neighbour is occupied too, so a mask that reads
+    beyond the neighbours finds no entry. Such a state seats more than
+    four players, so the other cells hold the codes of seats 1 to 3 in
+    turn: legal_actions reads only whether a neighbour is occupied."""
+    nbr_shift, nbr_mask, legal_at, ballot_at = legal_tables(size)
     for cell, dests in enumerate(neighbours(size)):
         cells = list(dests.values())
-        assert nbr_mask[cell] == sum(1 << d for d in cells)
         assert len(legal_at[cell]) == len(ballot_at[cell]) == 2 ** len(cells)
         for subset in range(2 ** len(cells)):
-            occupied = [d for j, d in enumerate(cells) if subset >> j & 1]
-            mask = sum(1 << d for d in occupied)
+            occupied = [
+                d for d in range(size * size)
+                if d != cell and (d not in cells or subset >> cells.index(d) & 1)
+            ]
+            occ = sum(1 << d for d in [cell, *occupied])
+            mask = occ >> nbr_shift[cell] & nbr_mask[cell]
             board = bytearray(size * size)
             board[cell] = occupied_cell(0)
             for j, d in enumerate(occupied):
