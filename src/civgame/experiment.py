@@ -231,7 +231,8 @@ def run_game(
     forced_set = (defer,)  # the legal set of a forced turn
     vote_bonus, vote_penalty = rc.vote_bonus, rc.vote_penalty
     move = 0
-    c = pos[0]  # the legal set of the seat to move:
+    # the legal set of the seat to move
+    c = pos[0]
     legal = legal_at[c][occ >> nbr_shift[c] & nbr_mask[c]]
     for b in bins:
         counts = b.action_counts
