@@ -98,7 +98,13 @@ class RunConfig:
 @dataclass
 class MetricsBin:
     """The bin_size turns from bin_start: their collective score (cs_sum),
-    invasions, passed votes, and each seat's count of each action."""
+    invasions, passed votes, and per seat its count of each action, its
+    reward and the invasions it committed.
+
+    `invasions` counts the raised invaded flags, sampled once a cycle;
+    `invasions_committed[i]` counts each move of seat i onto another
+    seat's territory, whether or not its flag is still up at a sample.
+    """
 
     bin_start: int
     bin_size: int
@@ -106,11 +112,14 @@ class MetricsBin:
     cs_sum: int = 0
     invasions: int = 0
     successful_defers: int = 0
-    action_counts: list[list[int]] = field(default_factory=list)
+    action_counts: list[list[int]] = field(init=False)
+    rewards: list[int] = field(init=False)
+    invasions_committed: list[int] = field(init=False)
 
     def __post_init__(self) -> None:
-        if not self.action_counts:
-            self.action_counts = [[0] * NUM_ACTIONS for _ in range(self.players)]
+        p = self.players
+        self.action_counts = [[0] * NUM_ACTIONS for _ in range(p)]
+        self.rewards, self.invasions_committed = [0] * p, [0] * p
 
     @property
     def cs_avg(self) -> float:
@@ -119,23 +128,30 @@ class MetricsBin:
 
 @dataclass
 class RunResult:
-    """One run_game trial: its bins, per-seat totals, and the Q-tables
-    when run_game is asked to keep them. The tests play each run again
-    through the GameState functions and compare its bins, totals and
-    table writes with theirs."""
+    """One run_game trial: its bins, and the Q-tables when run_game is
+    asked to keep them. The tests play each run again through the
+    GameState functions and compare its bins and table writes with
+    theirs."""
 
     bins: list[MetricsBin]
-    rewards_per_player: list[int]
-    invasions_per_player: list[int]
     tables: list[QTable | None] | None = None
 
     @property
     def moves_per_player(self) -> list[int]:
         """Each seat's moves, ballots included: its action counts summed."""
-        return [
-            sum(sum(b.action_counts[i]) for b in self.bins)
-            for i in range(len(self.rewards_per_player))
-        ]
+        return [sum(map(sum, seat))
+                for seat in zip(*(b.action_counts for b in self.bins))]
+
+    @property
+    def rewards_per_player(self) -> list[int]:
+        """Each seat's reward, summed over the bins."""
+        return [sum(seat) for seat in zip(*(b.rewards for b in self.bins))]
+
+    @property
+    def invasions_per_player(self) -> list[int]:
+        """Each seat's committed invasions, summed over the bins."""
+        return [sum(seat)
+                for seat in zip(*(b.invasions_committed for b in self.bins))]
 
 
 def stream_seed(trial_seed: int, label: str) -> int:
@@ -218,8 +234,6 @@ def run_game(
         MetricsBin(bin_start=j * cfg.bin_size, bin_size=cfg.bin_size, players=p)
         for j in range(num_bins)
     ]
-    rewards_per_player = [0] * p
-    invasions_per_player = [0] * p
 
     eps0, decay = hp.eps0, hp.eps_decay
     learners = [t for t, learn in zip(tables, learns) if learn]
@@ -235,15 +249,15 @@ def run_game(
     c = pos[0]
     legal = legal_at[c][occ >> nbr_shift[c] & nbr_mask[c]]
     for b in bins:
-        counts = b.action_counts
+        counts, rewards, committed = (
+            b.action_counts, b.rewards, b.invasions_committed)
         t, end = b.bin_start, b.bin_start + b.bin_size
         while t < end:
             if move == sample_at:
                 lag = 1 if key == top1 else 2 if key == top2 else 0
                 if lag or slow:
                     # replayed periods move t on and leave the state as is
-                    t = replay.top(t, end, key, lag, b, rewards_per_player,
-                                   invasions_per_player)
+                    t = replay.top(t, end, key, lag, b)
                     if t == end:
                         break
                     slow = replay.slow
@@ -282,7 +296,7 @@ def run_game(
                         q_update(tables[i], key, defer, payout, next_key,
                                  legal, hp)
                     counts[i][ballot] += 1
-                    rewards_per_player[i] += payout
+                    rewards[i] += payout
                     b.cs_sum += payout
                 b.successful_defers += success
                 key = next_key
@@ -348,68 +362,66 @@ def run_game(
                     ola_broadcast(recv_tables, key, pos, action, delta, i, hp)
                     pos[i] = dest
 
-            rewards_per_player[i] += r
-            invasions_per_player[i] += invasion
+            rewards[i] += r
+            committed[i] += invasion
             b.cs_sum += r
             counts[i][action] += 1
             key = next_key
             t += 1
 
-    return RunResult(
-        bins=bins,
-        rewards_per_player=rewards_per_player,
-        invasions_per_player=invasions_per_player,
-        tables=tables if keep_tables else None,
-    )
+    return RunResult(bins=bins, tables=tables if keep_tables else None)
 
 
-def _counters(b: MetricsBin, rewards: list[int], invasions: list[int],
-              learners: list[QTable]) -> tuple:
-    """A copy of every counter that play adds to: the bin's sums and
-    action counts, each seat's reward and invasions, and each learner's
-    count of writes."""
-    return (b.cs_sum, b.invasions, b.successful_defers,
-            [row[:] for row in b.action_counts], rewards[:], invasions[:],
-            [t.writes for t in learners])
+def _lists(b: MetricsBin) -> tuple[list[int], ...]:
+    """The bin's per-seat lists: each seat's action counts, then the
+    seats' rewards and committed invasions."""
+    return (*b.action_counts, b.rewards, b.invasions_committed)
+
+
+def _counters(b: MetricsBin, learners: list[QTable]) -> list[list[int]]:
+    """A copy of every counter that play adds to: the bin's sums, its
+    per-seat lists, and each learner's count of writes."""
+    return [[b.cs_sum, b.invasions, b.successful_defers],
+            *(row[:] for row in _lists(b)), [t.writes for t in learners]]
 
 
 @dataclass
 class _Period:
-    """A recorded stretch of play from a cycle top back to a top with the
-    same key. It is played again only while the learners' count of value
-    changes is `changes`, the count where it began: then its rows read
-    as they did, and its writes change nothing.
+    """A stretch of play recorded in bin `b` from the cycle top at step
+    `start`, `length` steps back to a top with the same key. It is played
+    again only while the learners' count of value changes is `changes`,
+    the count where it began: then its rows read as they did, and its
+    writes change nothing.
 
     `decisions` holds, in draw order, each decision's step offset and
     select_action arguments (the seat's table, the key, the legal set,
     its frozen eps or None for the schedule's, its stream and the greedy
-    choices, None for a seat without a table), then the action drawn.
-    The rest is what the stretch added: `added` is _counters' difference
-    over it, but for the writes, and `writes` each learner's table with
-    its count of writes.
+    choices read as it was drawn, which hold while no value changes, None
+    for a seat without a table), then the action drawn. `before` is _counters at the start; when the
+    recording ends, `added` is their difference over it, but for the
+    writes, and `writes` pairs each learner's table with its count.
     """
 
     key: bytes
     changes: int
+    start: int
     length: int
-    decisions: list[tuple]
-    added: tuple
-    writes: list[tuple[QTable, int]]
+    b: MetricsBin
+    before: list[list[int]]
+    decisions: list[tuple] = field(default_factory=list)
+    added: list[list[int]] = field(default_factory=list)
+    writes: list[tuple[QTable, int]] = field(default_factory=list)
 
-    def add_to(self, times: int, b: MetricsBin, rewards: list[int],
-               invasions: list[int]) -> None:
-        """Add what the stretch added, `times` over. A write that changes
-        nothing leaves only its count."""
-        cs_sum, invaded, defers, counts, seat_rewards, seat_invasions = self.added
+    def add_to(self, times: int, b: MetricsBin) -> None:
+        """Add what the stretch added to bin b, `times` over. A write that
+        changes nothing leaves only its count."""
+        (cs_sum, invaded, defers), *lists = self.added
         b.cs_sum += times * cs_sum
         b.invasions += times * invaded
         b.successful_defers += times * defers
-        for row, added in zip(b.action_counts, counts):
-            for a, n in enumerate(added):
-                row[a] += times * n
-        for i, (r, n) in enumerate(zip(seat_rewards, seat_invasions)):
-            rewards[i] += times * r
-            invasions[i] += times * n
+        for row, added in zip(_lists(b), lists):
+            for j, n in enumerate(added):
+                row[j] += times * n
         for table, n in self.writes:
             table.writes += times * n
 
@@ -446,10 +458,8 @@ class _Replay:
         # (key, value changes, step) at the last two tops whose key was
         # that of the top 1 or 2 cycles back
         self.repeats: deque[tuple] = deque(maxlen=2)
-        self.period: _Period | None = None
-        self.record: list[tuple] | None = None  # (t, seat, key, legal, action)
-        self.record_end = 0
-        self.start: tuple = ()  # the recording's first top and counters
+        self.period: _Period | None = None  # the last period kept
+        self.recording: _Period | None = None
         self.queued: list[Action] = []  # drawn by a replay, not yet played
 
     def changes(self) -> int:
@@ -460,71 +470,58 @@ class _Replay:
         """Seat i's action at step t: the next decision a replay drew, or
         select_action's; noted while a period is recorded. `eps` is the
         step's schedule eps."""
+        e, q = self.frozen[i], self.tables[i]
         if self.queued:
             action = self.queued.pop(0)
         else:
-            e = self.frozen[i]
-            action = select_action(self.tables[i], key, legal,
-                                   eps if e is None else e, self.rngs[i])
-        if self.record is not None:
-            self.record.append((t, i, key, legal, action))
+            action = select_action(q, key, legal, eps if e is None else e,
+                                   self.rngs[i])
+        period = self.recording
+        if period is not None:
+            greedy = None if q is None else greedy_actions(q, key, legal)
+            period.decisions.append((t - period.start, q, key, legal, e,
+                                     self.rngs[i], greedy, action))
         return action
 
-    def top(self, t: int, end: int, key: bytes, lag: int, b: MetricsBin,
-            rewards: list[int], invasions: list[int]) -> int:
+    def top(self, t: int, end: int, key: bytes, lag: int,
+            b: MetricsBin) -> int:
         """At the cycle top at step t of bin b, which ends at `end`, before
         its invasions are sampled; `lag` is 1 or 2 when the key is that
         of the top so many cycles back, else 0. Returns the step at which
         the loop goes on, past t when periods were replayed."""
-        if self.record is not None:
-            if t < self.record_end:
+        rec = self.recording
+        if rec is not None:
+            if t < rec.start + rec.length:
                 return t
-            self._finish(t, key, rewards, invasions)
+            self.recording = None
+            # kept if play came back to its key within its bin, since the
+            # counters of the next bin are not in the difference; a value
+            # changed since the start stops it at its first replay
+            if key == rec.key and t <= rec.b.bin_start + rec.b.bin_size:
+                added = [[y - x for x, y in zip(r0, r1)] for r0, r1
+                         in zip(rec.before, _counters(rec.b, self.learners))]
+                rec.writes = list(zip(self.learners, added.pop()))
+                rec.added = added
+                self.period = rec
         period = self.period
         if self.queued:
             pass  # the drawn decisions are played first
         elif period is not None and key == period.key:
             if self.changes() == period.changes:
-                t = self._replay(t, end, b, rewards, invasions)
+                t = self._replay(t, end, b)
             else:
                 self.period = None
         elif lag:
             changes = self.changes()
-            if (key, changes, t - lag * self.cycle) in self.repeats:
-                self.record = []
-                self.record_end = t + lag * self.cycle
-                self.start = (t, key, changes, b, _counters(
-                    b, rewards, invasions, self.learners))
+            length = lag * self.cycle
+            if (key, changes, t - length) in self.repeats:
+                self.recording = _Period(key, changes, t, length, b,
+                                         _counters(b, self.learners))
             self.repeats.append((key, changes, t))
-        self.slow = bool(self.queued) or self.record is not None
+        self.slow = bool(self.queued) or self.recording is not None
         return t
 
-    def _finish(self, t, key, rewards, invasions) -> None:
-        record, self.record = self.record, None
-        # a value changed since the start stops it at its first replay
-        t0, key0, changes, b, before = self.start
-        if key != key0 or t > b.bin_start + b.bin_size:
-            return
-        decisions = []
-        for tj, i, kj, legal, action in record:
-            table = self.tables[i]
-            greedy = None if table is None else greedy_actions(table, kj, legal)
-            decisions.append((tj - t0, table, kj, legal, self.frozen[i],
-                              self.rngs[i], greedy, action))
-        cs0, inv0, sd0, counts0, rw0, iv0, w0 = before
-        cs1, inv1, sd1, counts1, rw1, iv1, w1 = _counters(
-            b, rewards, invasions, self.learners)
-        added = (
-            cs1 - cs0, inv1 - inv0, sd1 - sd0,
-            [[y - x for x, y in zip(r0, r1)] for r0, r1 in zip(counts0, counts1)],
-            [y - x for x, y in zip(rw0, rw1)],
-            [y - x for x, y in zip(iv0, iv1)],
-        )
-        writes = [(table, y - x)
-                  for table, x, y in zip(self.learners, w0, w1)]
-        self.period = _Period(key, changes, t - t0, decisions, added, writes)
-
-    def _replay(self, t, end, b, rewards, invasions) -> int:
+    def _replay(self, t, end, b) -> int:
         period = self.period
         n = period.length
         times = 0
@@ -532,7 +529,7 @@ class _Replay:
             times += 1
             t += n
         if times:
-            period.add_to(times, b, rewards, invasions)
+            period.add_to(times, b)
         return t
 
     def _draws_again(self, t: int) -> bool:

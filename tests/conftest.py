@@ -2,6 +2,7 @@
 
 import importlib.util
 from collections import deque
+from contextlib import contextmanager
 from functools import cache
 from pathlib import Path
 from typing import NamedTuple
@@ -197,9 +198,10 @@ def replay_against_oracle(cfg, seed, tables=None, frozen_eps=None):
     the same old and new values, or, if run_game replayed it, a write
     that leaves its value as it is, and then only counted; the logged
     and the counted writes must add up to the table's `writes`. Frozen
-    seats write nothing. The bins and per-seat totals folded here from
-    reward, is_invasion, sovereign_reward and the invaded flags at each
-    cycle boundary must equal run_game's.
+    seats write nothing. The bins folded here from reward, is_invasion,
+    sovereign_reward and the invaded flags at each cycle boundary, each
+    seat's reward and committed invasions among them, and the per-seat
+    totals must equal run_game's.
 
     Returns run_game's result, its tables kept, and the steps played.
     """
@@ -286,6 +288,7 @@ def replay_against_oracle(cfg, seed, tables=None, frozen_eps=None):
                     delta = bellman(i, payouts[i], next_key, legal_next)
                     check_write(i, key, Action.DEFER, delta)
                 b.action_counts[i][ballot] += 1
+                b.rewards[i] += payouts[i]
                 rewards[i] += payouts[i]
             b.cs_sum += sum(payouts)
             b.successful_defers += passed
@@ -311,6 +314,8 @@ def replay_against_oracle(cfg, seed, tables=None, frozen_eps=None):
             legal_next = legal_actions(state, state.move)
         b.action_counts[mover][action] += 1
         b.cs_sum += r
+        b.rewards[mover] += r
+        b.invasions_committed[mover] += invasion
         rewards[mover] += r
         invasions[mover] += invasion
         steps.append(Step(mover, (action,), (r,), invasion))
@@ -340,8 +345,8 @@ class ReplayLog(NamedTuple):
     draws: list  # (legal, greedy, action) per decision a replay drew
 
 
-@pytest.fixture
-def replay_log(monkeypatch):
+@contextmanager
+def logged_replays():
     """Logs, through the module names that run_game looks up, each
     stretch of periods it replays and each select_action call it makes
     with the greedy choices handed in, which only a replay makes."""
@@ -349,9 +354,9 @@ def replay_log(monkeypatch):
     add_to = experiment._Period.add_to
     select = experiment.select_action
 
-    def logged_add_to(period, times, b, rewards, invasions):
+    def logged_add_to(period, times, b):
         log.periods.append((b.bin_start, times, period.length))
-        add_to(period, times, b, rewards, invasions)
+        add_to(period, times, b)
 
     def logged_select(q, key, legal, eps, rng, greedy=None):
         action = select(q, key, legal, eps, rng, greedy)
@@ -359,9 +364,17 @@ def replay_log(monkeypatch):
             log.draws.append((legal, greedy, action))
         return action
 
-    monkeypatch.setattr(experiment._Period, "add_to", logged_add_to)
-    monkeypatch.setattr(experiment, "select_action", logged_select)
-    return log
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(experiment._Period, "add_to", logged_add_to)
+        patch.setattr(experiment, "select_action", logged_select)
+        yield log
+
+
+@pytest.fixture
+def replay_log():
+    """The ReplayLog of the test's runs (see logged_replays)."""
+    with logged_replays() as log:
+        yield log
 
 
 @pytest.fixture

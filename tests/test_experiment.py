@@ -219,7 +219,10 @@ def test_csv_round_trip(tmp_path, seats):
 
 def test_metrics_bin_example_arithmetic():
     b = MetricsBin(bin_start=0, bin_size=4, players=2)
-    assert b.action_counts == [[0] * 6, [0] * 6]
+    for per_seat, zero in (
+        (b.action_counts, [0] * 6), (b.rewards, 0), (b.invasions_committed, 0)
+    ):
+        assert per_seat == [zero, zero]
     assert b.cs_avg == 0.0
     b.cs_sum = 3 - 22 + 18 + 3
     assert b.cs_avg == 0.5

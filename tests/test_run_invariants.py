@@ -4,14 +4,15 @@ paths of run_game's own replay of periods included; plus the rows a
 table holds and the turns of a forced-defer cycle."""
 
 import warnings
+from dataclasses import replace
 
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from civgame.agents import AgentKind, Hyperparams
 from civgame.experiment import RunConfig, Variant, run_game
 from civgame.game import Action, RewardConfig
-from conftest import LoggingQTable, replay_against_oracle
+from conftest import LoggingQTable, logged_replays, replay_against_oracle
 
 H, Q, R = AgentKind.HQLEARNER, AgentKind.QLEARNER, AgentKind.RANDOM
 
@@ -89,12 +90,19 @@ def test_loop_matches_gamestate_oracle():
 
 @st.composite
 def oracle_runs(draw):
-    """A short run of any size, variant, seat mix and reward signs, with
-    frozen seats at a fixed eps holding a trained table."""
-    size = draw(st.integers(2, 6))
+    """A run of any size, variant, seat mix and reward signs, with frozen
+    seats at a fixed eps holding a trained table. Most are short; a
+    settling share runs up to 3,000 steps on boards 2-3 in bins of 7
+    steps and up, its exploration fading (eps decay 0.99 from eps0 at
+    most 0.2) and its frozen seats at eps 0 or 0.001, so that play
+    settles and run_game's replay of periods is reached."""
+    settling = draw(st.booleans())
+    size = draw(st.integers(2, 3 if settling else 6))
     p = draw(st.integers(1, 4))
-    total = draw(st.integers(1, 300))
-    bin_size = draw(st.sampled_from([d for d in range(1, total + 1) if total % d == 0]))
+    total = draw(st.integers(7, 3_000) if settling else st.integers(1, 300))
+    bin_size = draw(st.sampled_from([
+        d for d in range(7 if settling else 1, total + 1) if total % d == 0
+    ]))
     with warnings.catch_warnings():  # a bonus above |penalty| only warns
         warnings.simplefilter("ignore")
         rewards = RewardConfig(
@@ -105,16 +113,19 @@ def oracle_runs(draw):
         )
     unit = st.floats(0, 1)
     kinds = tuple(draw(st.lists(st.sampled_from((H, Q, R)), min_size=p, max_size=p)))
+    decays = (0.99,) if settling else (1.0, 0.999, 0.99)
     cfg = RunConfig(
         size=size, total_steps=total, bin_size=bin_size, trials=1,
         agent_kinds=kinds, rewards=rewards,
-        hp=Hyperparams(alpha=draw(unit), gamma=draw(unit), eps0=draw(unit),
-                       eps_decay=draw(st.sampled_from((1.0, 0.999, 0.99)))),
+        hp=Hyperparams(alpha=draw(unit), gamma=draw(unit),
+                       eps0=draw(st.floats(0, 0.2) if settling else unit),
+                       eps_decay=draw(st.sampled_from(decays))),
         variant=draw(st.sampled_from(list(Variant))),
     )
     # per seat: None (learning) or the eps it plays frozen at
+    frozen_at = (0.0, 0.001) if settling else (0.0, 0.3, 1.0)
     frozen_eps = draw(st.lists(
-        st.none() | st.sampled_from((0.0, 0.3, 1.0)), min_size=p, max_size=p
+        st.none() | st.sampled_from(frozen_at), min_size=p, max_size=p
     ))
     trained = run_game(cfg, draw(st.integers(0, 99)), keep_tables=True).tables
     tables = [None if eps is None else t for t, eps in zip(trained, frozen_eps)]
@@ -125,7 +136,9 @@ def oracle_runs(draw):
 @given(run=oracle_runs(), seed=st.integers(0, 2**32))
 def test_generated_runs_match_gamestate_oracle(run, seed):
     cfg, tables, frozen_eps = run
-    replay_against_oracle(cfg, seed, tables, frozen_eps)
+    with logged_replays() as log:
+        replay_against_oracle(cfg, seed, tables, frozen_eps)
+    event("replayed" if log.periods else "not replayed")
 
 
 # --- run_game's replay of periods that changed nothing ---------------------------
@@ -191,11 +204,21 @@ def test_replay_stops_at_a_failed_vote(replay_log):
 
 
 def test_replay_stops_at_a_bin_boundary(replay_log):
-    """Bins of 100 steps cut the 3-step period: each bin replays the
-    periods that fit in it and plays the rest."""
-    replay_against_oracle(settling_pair(bin_size=100), 3)
-    assert {length for *_, length in replay_log.periods} == {3}
-    assert len({start for start, *_ in replay_log.periods}) > 10
+    """Bins of 100 or 50 steps cut the learning pair's 3-step period, and
+    bins of 20 the 4-step orbit of the frozen base pair at eps 0.05:
+    each bin replays the periods that fit in it and plays the rest, and
+    a period whose recording ran past its bin's end is not kept."""
+    base, trained = frozen_base_pair()
+    runs = [
+        (settling_pair(bin_size=100), 3, None, None, 3),
+        (settling_pair(bin_size=50), 2, None, None, 3),
+        (replace(base, bin_size=20), 1, trained, [0.05, 0.05], 4),
+    ]
+    for cfg, seed, tables, frozen_eps, length in runs:
+        replay_log.periods.clear()
+        replay_against_oracle(cfg, seed, tables, frozen_eps)
+        assert {n for *_, n in replay_log.periods} == {length}
+        assert len({start for start, *_ in replay_log.periods}) > 10
 
 
 def test_replay_of_a_learner_beside_a_frozen_seat(replay_log):
