@@ -397,9 +397,10 @@ class _Period:
     select_action arguments (the seat's table, the key, the legal set,
     its frozen eps or None for the schedule's, its stream and the greedy
     choices read as it was drawn, which hold while no value changes, None
-    for a seat without a table), then the action drawn. `before` is _counters at the start; when the
-    recording ends, `added` is their difference over it, but for the
-    writes, and `writes` pairs each learner's table with its count.
+    for a seat without a table), then the action drawn. `before` is
+    _counters at the start; when the recording ends, `added` is their
+    difference over it, but for the writes, and `writes` pairs each
+    learner's table with its count.
     """
 
     key: bytes
