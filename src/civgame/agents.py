@@ -102,14 +102,8 @@ def greedy_actions(
 def _best(row: list[float], legal: Sequence[Action]) -> Sequence[Action]:
     """The tie rule: the legal actions of highest value in `row`, in the
     order of `legal`."""
-    values = list(map(row.__getitem__, legal))
-    best = max(values)
-    i = values.index(best)
-    ties = [legal[i]]
-    for _ in range(values.count(best) - 1):
-        i = values.index(best, i + 1)
-        ties.append(legal[i])
-    return ties
+    best = max(map(row.__getitem__, legal))
+    return [a for a in legal if row[a] == best]
 
 
 def select_action(
@@ -138,11 +132,7 @@ def select_action(
     if q is None or rng.random() < eps:
         choices = legal
     else:
-        if greedy is None:
-            # greedy_actions(q, key, legal), with the row read once
-            row = q.rows.get(key)
-            greedy = legal if row is None else _best(row, legal)
-        choices = greedy
+        choices = greedy_actions(q, key, legal) if greedy is None else greedy
         if len(choices) == 1:
             return choices[0]
     n = len(choices)
@@ -217,25 +207,16 @@ def ola_broadcast(
     alpha = hp.alpha
     mover_at = BOARD_OFFSET + cells[mover]
     mover_flag_at = invaded_at + mover
-    mover_cell = key[mover_at]
-    mover_flag = key[mover_flag_at]
-    swapped = bytearray(key)
     for i, table in enumerate(tables):
         if i == mover or table is None:
             continue
         at = BOARD_OFFSET + cells[i]
         flag_at = invaded_at + i
-        cell, flag = key[at], key[flag_at]
-        swapped[at] = mover_cell
-        swapped[mover_at] = cell
-        swapped[flag_at] = mover_flag
-        swapped[mover_flag_at] = flag
+        swapped = bytearray(key)
+        swapped[at], swapped[mover_at] = key[mover_at], key[at]
+        swapped[flag_at], swapped[mover_flag_at] = key[mover_flag_at], key[flag_at]
         swapped[move_at] = i
         table.blend(bytes(swapped), action, delta, alpha)
-        # back to the pre-move bytes at the observer's cell and flag; the
-        # mover's bytes and the move byte are set anew for each observer
-        swapped[at] = cell
-        swapped[flag_at] = flag
 
 
 def dump_qtable(q: QTable) -> str:

@@ -33,6 +33,8 @@ from .game import (
     Action,
     UNOWNED,
     RewardConfig,
+    check_board_size,
+    check_players,
     corner_cells,
     encode_state,
     initial_state,
@@ -77,7 +79,8 @@ class RunConfig:
     workers: int = 1
 
     def __post_init__(self) -> None:
-        initial_state(self.size, self.players)  # board size and seat range
+        check_board_size(self.size)
+        check_players(self.players)
         if self.bin_size < 1:
             raise ValueError("bin_size must be >= 1")
         if self.total_steps < 1:
@@ -194,6 +197,9 @@ def run_game(
     p, hp, rc = cfg.players, cfg.hp, cfg.rewards
     sovereign = cfg.variant is Variant.SOVEREIGN
     kinds = cfg.agent_kinds
+    for name, seats in (("tables", tables), ("frozen_eps", frozen_eps)):
+        if seats is not None and len(seats) != p:
+            raise ValueError(f"{name} has {len(seats)} entries for {p} seats")
     given = [None] * p if tables is None else tables
     frozen = [None] * p if frozen_eps is None else frozen_eps
 
@@ -216,10 +222,10 @@ def run_game(
     nbrs = neighbours(cfg.size)
     pos = list(corner_cells(cfg.size, p))  # each seat's cell
     # bit c of occ is set while a seat stands on cell c; a seat on c has
-    # legal_at[c][occ >> nbr_shift[c] & nbr_mask[c]] as its legal set and
-    # ballot_at[c][...] as its ballot options
+    # legal_at[c][occ >> nbr_shift[c] & nbr_mask[c]] as its legal set, and
+    # that set plus DEFER as its ballot options
     occ = sum(1 << c for c in pos)
-    nbr_shift, nbr_mask, legal_at, ballot_at = legal_tables(cfg.size)
+    nbr_shift, nbr_mask, legal_at = legal_tables(cfg.size)
     terr = [0] * p  # territory cells per seat
     terr0, occ0 = territory_cell(0), occupied_cell(0)
     cycle = p + 1 if sovereign else p  # move values, the vote move included
@@ -242,7 +248,7 @@ def run_game(
     slow = replay.slow
     top1 = top2 = b""  # the keys at the last two cycle tops
     defer, stay = Action.DEFER, Action.STAY
-    forced_set = (defer,)  # the legal set of a forced turn
+    defer_only = (defer,)  # a forced turn's legal set, a ballot's extra
     vote_bonus, vote_penalty = rc.vote_bonus, rc.vote_penalty
     move = 0
     # the legal set of the seat to move
@@ -280,7 +286,7 @@ def run_game(
                 next_key = bytes(k)
                 forced = p if success else 0
                 if success:
-                    legal = forced_set
+                    legal = defer_only
                 else:
                     c = pos[0]
                     legal = legal_at[c][occ >> nbr_shift[c] & nbr_mask[c]]
@@ -344,11 +350,12 @@ def run_game(
                 # every seat's ballot options at the coming vote; the
                 # mover's own are the max of its pre-vote update
                 ballot_options = [
-                    ballot_at[c][occ >> nbr_shift[c] & nbr_mask[c]] for c in pos
+                    legal_at[c][occ >> nbr_shift[c] & nbr_mask[c]] + defer_only
+                    for c in pos
                 ]
                 legal = ballot_options[i]
             elif forced:
-                legal = forced_set
+                legal = defer_only
             else:
                 c = pos[move]
                 legal = legal_at[c][occ >> nbr_shift[c] & nbr_mask[c]]
@@ -522,30 +529,30 @@ class _Replay:
         self.slow = bool(self.queued) or self.recording is not None
         return t
 
-    def _replay(self, t, end, b) -> int:
+    def _replay(self, t: int, end: int, b: MetricsBin) -> int:
+        """Draw the period's decisions again, whole periods from step t
+        on, while one fits in bin b, which ends at `end`. At the first
+        decision that differs from the record, queue the decisions drawn
+        in that period. Add the periods drawn in full to b, and return the
+        step at which the loop goes on."""
         period = self.period
-        n = period.length
+        n, decisions = period.length, period.decisions
+        eps0, decay = self.eps0, self.decay
         times = 0
-        while t + n <= end and self._draws_again(t):
-            times += 1
-            t += n
+        while t + n <= end and not self.queued:
+            for d, (s, q, key, legal, eps, rng, greedy, action) in enumerate(decisions):
+                if eps is None:
+                    eps = eps0 * decay ** (t + s)
+                drawn = select_action(q, key, legal, eps, rng, greedy)
+                if drawn is not action:
+                    self.queued = [dec[-1] for dec in decisions[:d]] + [drawn]
+                    break
+            else:
+                times += 1
+                t += n
         if times:
             period.add_to(times, b)
         return t
-
-    def _draws_again(self, t: int) -> bool:
-        """Draw the period's decisions from step t on. At the first that
-        differs from the record, queue the decisions drawn: False."""
-        eps0, decay = self.eps0, self.decay
-        decisions = self.period.decisions
-        for d, (s, q, key, legal, eps, rng, greedy, action) in enumerate(decisions):
-            if eps is None:
-                eps = eps0 * decay ** (t + s)
-            drawn = select_action(q, key, legal, eps, rng, greedy)
-            if drawn is not action:
-                self.queued = [dec[-1] for dec in decisions[:d]] + [drawn]
-                return False
-        return True
 
 
 def trial_seed(master_seed: int, trial: int) -> int:

@@ -188,7 +188,9 @@ def replay_against_oracle(cfg, seed, tables=None, frozen_eps=None):
     seat draws uniformly; a learner explores with probability
     epsilon_at(step) (or its frozen eps), else takes the best action of
     its shadow row, breaking ties uniformly. Shadow copies of the
-    tables, rebuilt from the write logs, supply the values read.
+    tables, rebuilt from the write logs, supply the values read. At a
+    vote the legal set is sovereign_legal_actions' ballot, so a run
+    whose ballot options differ from it draws otherwise and fails here.
 
     Every table write must be the one the rules call for: the mover's
     Bellman update at the step's key, with the max taken over the legal

@@ -9,7 +9,7 @@ from hashlib import sha256
 import pytest
 
 from civgame import charts
-from civgame.agents import AgentKind, dump_qtable
+from civgame.agents import AgentKind, QTable, dump_qtable
 from civgame.experiment import (
     LEARNING_CURVE_HEADER,
     MetricsBin,
@@ -52,6 +52,21 @@ def test_config_validation():
     ):
         with pytest.raises(ValueError, match=message):
             small_cfg(**kw)
+
+
+def test_run_game_checks_its_seat_lists():
+    """A tables or frozen_eps list of another length than the seat count
+    is refused with both lengths, before the first step."""
+    cfg = small_cfg(agent_kinds=(AgentKind.QLEARNER,) * 2, total_steps=100,
+                    bin_size=100)
+    for entries in (1, 3):
+        table = QTable()
+        for kw in (dict(tables=[table] * entries),
+                   dict(frozen_eps=[0.1] * entries)):
+            with pytest.raises(ValueError,
+                               match=f"has {entries} entries for 2 seats"):
+                run_game(cfg, 1, **kw)
+        assert table.writes == 0
 
 
 def test_same_seed_same_run():

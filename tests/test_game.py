@@ -22,7 +22,6 @@ from civgame.game import (
     territory_cell,
     transition,
 )
-from civgame.sovereign import sovereign_legal_actions
 from conftest import enumerate_reachable
 
 
@@ -177,16 +176,15 @@ def test_stay_is_fallback_only():
 @pytest.mark.parametrize("size", range(2, 7))
 def test_legal_tables_state_the_legality_rule(size):
     """For every cell and every subset of its occupied neighbours, the
-    table's tuple is legal_actions on a state with those cells occupied,
-    and the ballot entry is sovereign_legal_actions at the vote. Every
-    cell that is not a neighbour is occupied too, so a mask that reads
+    table's tuple is legal_actions on a state with those cells occupied.
+    Every cell that is not a neighbour is occupied too, so a mask that reads
     beyond the neighbours finds no entry. Such a state seats more than
     four players, so the other cells hold the codes of seats 1 to 3 in
     turn: legal_actions reads only whether a neighbour is occupied."""
-    nbr_shift, nbr_mask, legal_at, ballot_at = legal_tables(size)
+    nbr_shift, nbr_mask, legal_at = legal_tables(size)
     for cell, dests in enumerate(neighbours(size)):
         cells = list(dests.values())
-        assert len(legal_at[cell]) == len(ballot_at[cell]) == 2 ** len(cells)
+        assert len(legal_at[cell]) == 2 ** len(cells)
         for subset in range(2 ** len(cells)):
             occupied = [
                 d for d in range(size * size)
@@ -199,11 +197,9 @@ def test_legal_tables_state_the_legality_rule(size):
             for j, d in enumerate(occupied):
                 board[d] = occupied_cell(1 + j % 3)
             state = GameState(bytes(board), (False,) * 4, 0, 0, size, 4)
-            legal, ballot = legal_at[cell][mask], ballot_at[cell][mask]
-            assert type(legal) is tuple and type(ballot) is tuple
+            legal = legal_at[cell][mask]
+            assert type(legal) is tuple
             assert list(legal) == legal_actions(state, 0)
-            vote = GameState(bytes(board), (False,) * 4, 4, 0, size, 4)
-            assert list(ballot) == sovereign_legal_actions(vote, 0, 0)
 
 
 # --- transition --------------------------------------------------------------
