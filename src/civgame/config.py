@@ -7,7 +7,7 @@ documented defaults.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from typing import Any, Callable
 
@@ -65,14 +65,9 @@ SCHEMA: dict[str, tuple[Callable[[str], Any], Any]] = {
         f"agent{i}": (_parse_agent, kind)
         for i, kind in enumerate(_RUN.agent_kinds)
     },
-    "invasion_bonus": (int, _RUN.rewards.invasion_bonus),
-    "invasion_penalty": (int, _RUN.rewards.invasion_penalty),
-    "vote_bonus": (int, _RUN.rewards.vote_bonus),
-    "vote_penalty": (int, _RUN.rewards.vote_penalty),
-    "alpha": (float, _RUN.hp.alpha),
-    "gamma": (float, _RUN.hp.gamma),
-    "eps0": (float, _RUN.hp.eps0),
-    "eps_decay": (float, _RUN.hp.eps_decay),
+    # the reward and learning keys are RewardConfig's and Hyperparams' fields
+    **{f.name: (int, f.default) for f in fields(RewardConfig)},
+    **{f.name: (float, f.default) for f in fields(Hyperparams)},
     "alpha_c": (float, _ANALYSIS.alpha_c),
     "alpha_d": (float, _ANALYSIS.alpha_d),
     "workers": (int, _RUN.workers),
@@ -124,10 +119,31 @@ def parse_config(path: str | None) -> dict[str, Any]:
     return settings
 
 
+def _build(
+    cls: type, settings: dict[str, Any], renamed: dict[str, str], **given: Any
+) -> Any:
+    """cls with each field not given set from the key of its name, or
+    from the key renamed[field]; an error that starts with a renamed
+    field's name is prefixed with its key."""
+    for f in fields(cls):
+        if f.name not in given:
+            given[f.name] = settings[renamed.get(f.name, f.name)]
+    try:
+        return cls(**given)
+    except ValueError as exc:
+        key = renamed.get(str(exc).partition(" ")[0])
+        if key is None:
+            raise
+        raise ValueError(f"{key}: {exc}") from None
+
+
 @dataclass(frozen=True)
 class ResolvedConfig:
     """A parsed config's fully defaulted settings, keyed as in SCHEMA,
-    with the run, analysis, reward and learning configs built from them."""
+    with the run and analysis configs built from them. Each key sets the
+    field of its name, but for board_size (size), bin (bin_size),
+    match_players (AnalysisConfig.players) and players with the agentN
+    keys (RunConfig.agent_kinds)."""
 
     settings: dict[str, Any]
 
@@ -138,33 +154,10 @@ class ResolvedConfig:
         _check_key(s, "players", check_players)
         _check_key(s, "board_size", check_board_size)
         kinds = tuple(s[f"agent{i}"] for i in range(s["players"]))
-        return RunConfig(
-            size=s["board_size"],
-            total_steps=s["total_steps"],
-            bin_size=s["bin"],
-            trials=s["trials"],
+        return _build(
+            RunConfig, s, {"size": "board_size", "bin_size": "bin"},
             agent_kinds=kinds,
-            rewards=self.reward_config(),
-            hp=self.hyperparams(),
-            seed=s["seed"],
-            variant=s["variant"],
-            workers=s["workers"],
-        )
-
-    def reward_config(self) -> RewardConfig:
-        s = self.settings
-        return RewardConfig(
-            invasion_bonus=s["invasion_bonus"],
-            invasion_penalty=s["invasion_penalty"],
-            vote_bonus=s["vote_bonus"],
-            vote_penalty=s["vote_penalty"],
-        )
-
-    def hyperparams(self) -> Hyperparams:
-        s = self.settings
-        return Hyperparams(
-            alpha=s["alpha"], gamma=s["gamma"],
-            eps0=s["eps0"], eps_decay=s["eps_decay"],
+            rewards=_build(RewardConfig, s, {}), hp=_build(Hyperparams, s, {}),
         )
 
     def analysis_config(self) -> AnalysisConfig:
@@ -172,21 +165,9 @@ class ResolvedConfig:
         # AnalysisConfig checks both again, in messages without the key
         _check_key(s, "match_players", check_match_players)
         _check_key(s, "board_size", check_board_size)
-        return AnalysisConfig(
-            size=s["board_size"],
-            players=s["match_players"],
-            train_steps=s["train_steps"],
-            defect_train_steps=s["defect_train_steps"],
-            match_steps=s["match_steps"],
-            match_trials=s["match_trials"],
-            eval_steps=s["eval_steps"],
-            match_variant=s["match_variant"],
-            rewards=self.reward_config(),
-            hp=self.hyperparams(),
-            alpha_c=s["alpha_c"],
-            alpha_d=s["alpha_d"],
-            seed=s["seed"],
-            workers=s["workers"],
+        return _build(
+            AnalysisConfig, s, {"size": "board_size", "players": "match_players"},
+            rewards=_build(RewardConfig, s, {}), hp=_build(Hyperparams, s, {}),
         )
 
     def manifest(self) -> str:

@@ -11,6 +11,7 @@ or near your own land) pays one point per owned cell on your turn.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass, replace
 from enum import IntEnum
@@ -38,6 +39,13 @@ _TERR_BASE = 1  # territory of player i -> 1 + i
 _OCC_BASE = 5  # player i standing on a cell -> 5 + i
 MAX_PLAYERS = 4
 MAX_BOARD_SIZE = 255  # the state key stores the board size in one byte
+# The largest size of a reward value. A step pays a seat at most one
+# vote payout, or a move's farm count, bonus and penalty; each sum the
+# program forms (a bin's score, a trial's or the matrix's totals, a Q
+# value, which moves by at most one such reward per write since alpha
+# and gamma lie in [0, 1]) adds fewer than 2**60 of them in any run that
+# can finish, so below this bound each stays a finite float.
+MAX_REWARD = sys.float_info.max / 2**64
 
 
 def territory_cell(player: int) -> int:
@@ -90,6 +98,13 @@ class RewardConfig:
     vote_penalty: int = -10
 
     def __post_init__(self) -> None:
+        for name in (
+            "invasion_bonus", "invasion_penalty", "vote_bonus", "vote_penalty",
+        ):
+            if abs(getattr(self, name)) > MAX_REWARD:
+                raise ValueError(
+                    f"{name} must be at most {MAX_REWARD:.4g} in absolute value"
+                )
         if not (self.invasion_penalty < 0 <= self.invasion_bonus):
             raise ValueError(
                 "invasion_penalty must be negative and invasion_bonus non-negative"

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from civgame.agents import AgentKind, QTable
+from civgame.agents import AgentKind, Hyperparams, QTable
 from civgame.charts import render_csv
 from civgame.cli import main
 from civgame.config import SCHEMA, ConfigError, load_config, parse_config
@@ -20,6 +20,7 @@ from civgame.experiment import (
     RunConfig,
     Variant,
 )
+from civgame.game import RewardConfig
 from civgame.matrix import AnalysisConfig, TrainedPolicy
 
 
@@ -121,10 +122,78 @@ def test_seed_override_and_manifest(tmp_path):
 
 
 def test_run_config_construction(tmp_path):
-    path = write(tmp_path, "run.cfg", "players=2\nagent0=qlearner\nagent1=random\n")
-    cfg = load_config(path).run_config()
-    assert cfg.agent_kinds == (AgentKind.QLEARNER, AgentKind.RANDOM)
-    assert cfg.players == 2
+    """Every key, set off its default, reaches its field: each number and
+    variant differs from every other key's, so a builder that reads a
+    wrong key builds a config unequal to the one written out here."""
+    path = write(tmp_path, "run.cfg", """
+board_size=5
+players=3
+total_steps=1200
+bin=300
+trials=2
+seed=8
+variant=base
+agent0=qlearner
+agent1=random
+agent2=qlearner
+agent3=random
+invasion_bonus=11
+invasion_penalty=-26
+vote_bonus=16
+vote_penalty=-12
+alpha=0.25
+gamma=0.75
+eps0=0.625
+eps_decay=0.875
+alpha_c=6.5
+alpha_d=14.5
+workers=7
+train_steps=700
+defect_train_steps=800
+match_steps=900
+match_trials=6
+eval_steps=1000
+match_players=4
+match_variant=sovereign
+""")
+    resolved = load_config(path)
+    assert [
+        key for key, (_, default) in SCHEMA.items()
+        if resolved.settings[key] == default
+    ] == []
+    rewards = RewardConfig(
+        invasion_bonus=11, invasion_penalty=-26, vote_bonus=16, vote_penalty=-12,
+    )
+    hp = Hyperparams(alpha=0.25, gamma=0.75, eps0=0.625, eps_decay=0.875)
+    q, r = AgentKind.QLEARNER, AgentKind.RANDOM
+    assert resolved.run_config() == RunConfig(
+        size=5,
+        total_steps=1200,
+        bin_size=300,
+        trials=2,
+        agent_kinds=(q, r, q),
+        rewards=rewards,
+        hp=hp,
+        seed=8,
+        variant=Variant.BASE,
+        workers=7,
+    )
+    assert resolved.analysis_config() == AnalysisConfig(
+        size=5,
+        players=4,
+        train_steps=700,
+        defect_train_steps=800,
+        match_steps=900,
+        match_trials=6,
+        eval_steps=1000,
+        match_variant=Variant.SOVEREIGN,
+        rewards=rewards,
+        hp=hp,
+        alpha_c=6.5,
+        alpha_d=14.5,
+        seed=8,
+        workers=7,
+    )
 
 
 # --- simulate -------------------------------------------------------------------
@@ -177,17 +246,25 @@ def _no_work(*args, **kwargs):
     raise AssertionError("work started before a check that should stop it")
 
 
-def test_simulate_board_size_errors_name_the_key(tmp_path, monkeypatch, capsys):
-    """A board too small, or too large for the key's size byte, exits 2
-    before any run, naming board_size."""
+def test_simulate_errors_name_the_key(tmp_path, monkeypatch, capsys):
+    """A board too small or too large for the key's size byte, a bad
+    bin, or a reward too large for a float exits 2 before any run,
+    naming the key."""
     monkeypatch.setattr("civgame.cli.run_trials", _no_work)
-    for size, message in (
-        (1, "board_size: board size must be >= 2, got 1"),
-        (300, "board_size: board size must be <= 255"),
+    big = "9" * 400
+    for line, message in (
+        ("board_size=1", "board_size: board size must be >= 2, got 1"),
+        ("board_size=300", "board_size: board size must be <= 255"),
+        ("bin=0", "bin: bin_size must be >= 1"),
+        ("bin=7", "bin: bin_size must divide total_steps"),
+        (f"vote_bonus={big}", "vote_bonus must be at most "),
+        (f"vote_penalty=-{big}", "vote_penalty must be at most "),
+        (f"invasion_penalty=-{big}", "invasion_penalty must be at most "),
+        (f"invasion_bonus={big}", "invasion_bonus must be at most "),
     ):
-        cfg = write(tmp_path, "run.cfg", f"board_size={size}\n")
+        cfg = write(tmp_path, "run.cfg", line + "\n")
         assert run_cli(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 2
-        assert message in capsys.readouterr().err
+        assert message in capsys.readouterr().err, line
 
 
 def test_simulate_unwritable_out_exits_3(tmp_path, monkeypatch):
@@ -534,7 +611,13 @@ def _fault(key):
         # junk that parses as an int would escape the bound
         value = st.integers(-2, _BOUNDS[key]).map(str) | _LINE_TEXT.filter(_not_int)
     else:
-        value = st.integers(-50, 50).map(str) | st.floats().map(repr) | _LINE_TEXT
+        value = (
+            st.integers(-50, 50).map(str)
+            | st.floats().map(repr)
+            | _LINE_TEXT
+            # past any float, and past every reward's bound
+            | st.sampled_from(["9" * 400, "-" + "9" * 400])
+        )
     return value.map(lambda v: (key, f"{key}={v}"))
 
 
@@ -574,13 +657,30 @@ _CONFIG_LINES = st.tuples(
 @pytest.mark.filterwarnings("ignore:invasion bonus is not outweighed:UserWarning")
 @settings(max_examples=150, derandomize=True, deadline=None)
 @given(command=st.sampled_from(["simulate", "analyze"]), lines=_CONFIG_LINES)
+# a reward past any float, paid to each duped defer voter of a failed vote
+@example(command="simulate", lines=[
+    "total_steps=400", "bin=400", "trials=1", "workers=1",
+    "vote_penalty=-" + "9" * 400,
+])
 def test_exit_codes_hold_for_any_config_text(command, lines):
+    """A config that does not load or build exits 2; any other exits 0,
+    or 4 when analyze cannot classify its policies."""
     with tempfile.TemporaryDirectory() as tmp:
         cfg = os.path.join(tmp, "run.cfg")
         with open(cfg, "w", encoding="utf-8") as f:
             f.write("\n".join(lines) + "\n")
+        try:
+            resolved = load_config(cfg)
+            if command == "simulate":
+                resolved.run_config()
+            else:
+                resolved.analysis_config()
+        except ValueError:
+            expected = (2,)
+        else:
+            expected = (0,) if command == "simulate" else (0, 4)
         out = os.path.join(tmp, "out")
-        assert main([command, "--config", cfg, "--out", out]) in (0, 2, 3, 4)
+        assert main([command, "--config", cfg, "--out", out]) in expected
 
 
 # --- start-up cost -------------------------------------------------------------
