@@ -88,7 +88,8 @@ def parse_config(path: str | None) -> dict[str, Any]:
     if path is None:
         return settings
     set_on: dict[str, int] = {}  # key -> the line that set it
-    with open(path, encoding="utf-8") as f:
+    # utf-8-sig drops a leading byte-order mark
+    with open(path, encoding="utf-8-sig") as f:
         try:
             lines = f.readlines()
         except UnicodeDecodeError as exc:

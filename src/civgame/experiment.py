@@ -189,10 +189,13 @@ def run_game(
     mask that selects each seat's legal set from legal_tables, the number
     of forced-defer turns left, and the period that _Replay recorded to
     play again. Each seat's cell also hands ola_broadcast the positions in
-    the pre-move key. It plays by the rules that transition,
-    sovereign_transition, reward and is_invasion define on GameState;
-    the tests play each run again through those functions and compare
-    its bins, per-seat totals and table writes with theirs.
+    the pre-move key. A step decides and applies the vote or the move,
+    ends in one tail that writes the move byte, takes the next key and
+    reads the next mover's legal set, and then learns and counts. It
+    plays by the rules that transition, sovereign_transition, reward and
+    is_invasion define on GameState; the tests play each run again
+    through those functions and compare its bins, per-seat totals and
+    table writes with theirs.
     """
     p, hp, rc = cfg.players, cfg.hp, cfg.rewards
     sovereign = cfg.variant is Variant.SOVEREIGN
@@ -270,82 +273,62 @@ def run_game(
                 top1, top2 = key, top1
                 b.invasions += sum(k[invaded_at:move_at])
             eps = eps0 * decay**t  # epsilon_at(t, hp)
-            if move == p:  # the sovereign vote
+            i = move
+            if i == p:  # the sovereign vote
                 ballots = [
-                    replay.decide(i, key, ballot_options[i], eps, t) if slow
+                    replay.decide(j, key, ballot_options[j], eps, t) if slow
                     else select_action(
-                        tables[i], key, ballot_options[i],
-                        eps if frozen[i] is None else frozen[i], rngs[i],
+                        tables[j], key, ballot_options[j],
+                        eps if frozen[j] is None else frozen[j], rngs[j],
                     )
-                    for i in range(p)
+                    for j in range(p)
                 ]
                 success = vote_succeeds(ballots, p)
+                forced = p if success else 0
                 # the sovereign flag is zeroed within the vote step, so
                 # only the move byte changes
-                move = k[move_at] = 0
-                next_key = bytes(k)
-                forced = p if success else 0
-                if success:
-                    legal = defer_only
-                else:
-                    c = pos[0]
-                    legal = legal_at[c][occ >> nbr_shift[c] & nbr_mask[c]]
-                for i, ballot in enumerate(ballots):
-                    # on success every seat gets the bonus, on failure each
-                    # duped defer voter the penalty; a sovereign-aware
-                    # learner learns the payout as that of a DEFER
-                    duped = not success and ballot is defer
-                    payout = (
-                        vote_bonus if success else vote_penalty if duped else 0
-                    )
-                    if hq[i] and (success or duped):
-                        q_update(tables[i], key, defer, payout, next_key,
-                                 legal, hp)
-                    counts[i][ballot] += 1
-                    rewards[i] += payout
-                    b.cs_sum += payout
-                b.successful_defers += success
-                key = next_key
-                t += 1
-                continue
-
-            i = move
-            if slow:
-                action = replay.decide(i, key, legal, eps, t)
+                move = 0
             else:
-                action = select_action(
-                    tables[i], key, legal,
-                    eps if frozen[i] is None else frozen[i], rngs[i],
-                )
-            # reward terms from the pre-move bytes: farming, then (unless
-            # a forced defer) the invaded penalty and the invasion bonus
-            r = terr[i]
-            invasion = False
-            loc = dest = pos[i]
-            if action is not defer:
-                if k[invaded_at + i]:
-                    r += penalty
-                if action is not stay:
-                    dest = nbrs[loc][action]
-                    # unowned or territory, never occupied
-                    cell = k[board_at + dest]
-                    if cell != UNOWNED:
-                        owner = cell - terr0
-                        terr[owner] -= 1
-                        if owner != i:
-                            invasion = True
-                            r += bonus
-                            k[invaded_at + owner] = 1
-                    k[board_at + dest] = occ0 + i
-                    k[board_at + loc] = terr0 + i
-                    occ ^= 1 << loc | 1 << dest
-                    terr[i] += 1
-                    pos[i] = dest
-            k[invaded_at + i] = 0
-            move = k[move_at] = (i + 1) % cycle
+                if slow:
+                    action = replay.decide(i, key, legal, eps, t)
+                else:
+                    action = select_action(
+                        tables[i], key, legal,
+                        eps if frozen[i] is None else frozen[i], rngs[i],
+                    )
+                # reward terms from the pre-move bytes: farming, then (unless
+                # a forced defer) the invaded penalty and the invasion bonus
+                r = terr[i]
+                invasion = False
+                loc = dest = pos[i]
+                if action is not defer:
+                    if k[invaded_at + i]:
+                        r += penalty
+                    if action is not stay:
+                        dest = nbrs[loc][action]
+                        # unowned or territory, never occupied
+                        cell = k[board_at + dest]
+                        if cell != UNOWNED:
+                            owner = cell - terr0
+                            terr[owner] -= 1
+                            if owner != i:
+                                invasion = True
+                                r += bonus
+                                k[invaded_at + owner] = 1
+                        k[board_at + dest] = occ0 + i
+                        k[board_at + loc] = terr0 + i
+                        occ ^= 1 << loc | 1 << dest
+                        terr[i] += 1
+                        pos[i] = dest
+                k[invaded_at + i] = 0
+                move = (i + 1) % cycle
+                if forced:
+                    forced -= 1
+
+            # the tail of every step: the next key, and the legal set of
+            # the seat to move at it
+            k[move_at] = move
             next_key = bytes(k)
-            if forced:
-                forced -= 1
             if move == p:
                 # every seat's ballot options at the coming vote; the
                 # mover's own are the max of its pre-vote update
@@ -360,19 +343,35 @@ def run_game(
                 c = pos[move]
                 legal = legal_at[c][occ >> nbr_shift[c] & nbr_mask[c]]
 
-            if learns[i]:
-                delta = q_update(tables[i], key, action, r, next_key,
+            if i == p:
+                for j, ballot in enumerate(ballots):
+                    # on success every seat gets the bonus, on failure each
+                    # duped defer voter the penalty; a sovereign-aware
+                    # learner learns the payout as that of a DEFER
+                    duped = not success and ballot is defer
+                    payout = (
+                        vote_bonus if success else vote_penalty if duped else 0
+                    )
+                    if hq[j] and (success or duped):
+                        q_update(tables[j], key, defer, payout, next_key,
                                  legal, hp)
-                if hq[i]:
-                    # the broadcast reads the cells of the pre-move key
-                    pos[i] = loc
-                    ola_broadcast(recv_tables, key, pos, action, delta, i, hp)
-                    pos[i] = dest
-
-            rewards[i] += r
-            committed[i] += invasion
-            b.cs_sum += r
-            counts[i][action] += 1
+                    counts[j][ballot] += 1
+                    rewards[j] += payout
+                    b.cs_sum += payout
+                b.successful_defers += success
+            else:
+                if learns[i]:
+                    delta = q_update(tables[i], key, action, r, next_key,
+                                     legal, hp)
+                    if hq[i]:
+                        # the broadcast reads the cells of the pre-move key
+                        pos[i] = loc
+                        ola_broadcast(recv_tables, key, pos, action, delta, i, hp)
+                        pos[i] = dest
+                rewards[i] += r
+                committed[i] += invasion
+                b.cs_sum += r
+                counts[i][action] += 1
             key = next_key
             t += 1
 

@@ -10,6 +10,7 @@ game is embedded in the full environment.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
@@ -151,6 +152,10 @@ class AnalysisConfig:
             raise ValueError(
                 f"eval_steps must be >= {MIN_MOVES}, got {self.eval_steps}"
             )
+        for name in ("alpha_c", "alpha_d"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if not self.alpha_c < self.alpha_d:
             raise ValueError("alpha_c must be below alpha_d")
 

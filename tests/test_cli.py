@@ -63,14 +63,12 @@ def test_defaults_without_config_file():
 
 
 def test_parse_overrides_comments_blanks(tmp_path):
-    path = write(
-        tmp_path,
-        "run.cfg",
-        "seed=42 # inline comment\n\n# whole-line comment\nagent0=random\n",
-    )
-    settings = parse_config(path)
-    assert settings["seed"] == 42
-    assert settings["agent0"] is AgentKind.RANDOM
+    text = "seed=42 # inline comment\n\n# whole-line comment\nagent0=random\n"
+    # a leading UTF-8 byte-order mark reads as no text
+    for prefix in ("", "\ufeff"):
+        settings = parse_config(write(tmp_path, "run.cfg", prefix + text))
+        assert settings["seed"] == 42, prefix
+        assert settings["agent0"] is AgentKind.RANDOM, prefix
 
 
 def test_unknown_key_reports_line(tmp_path):
@@ -347,6 +345,11 @@ def test_analyze_zero_match_trials_exits_2_before_training(
         ("match_players=5", "match_players: player count must be in 1..4, got 5"),
         ("match_players=1", "match_players: matchups need at least 2 players"),
         ("board_size=1", "board_size: board size must be >= 2, got 1"),
+        # a cutoff no invasion rate can cross
+        ("alpha_c=-inf", "alpha_c must be finite, got -inf"),
+        ("alpha_c=nan", "alpha_c must be finite, got nan"),
+        ("alpha_d=inf", "alpha_d must be finite, got inf"),
+        ("alpha_d=" + "9" * 400, "alpha_d must be finite, got inf"),
     ):
         cfg = write(tmp_path, "an.cfg", text + "\n")
         code = run_cli(["analyze", "--config", cfg, "--out", str(tmp_path)])
